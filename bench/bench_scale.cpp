@@ -59,7 +59,6 @@ constexpr std::size_t kHistoryPeers = 1024;
 
 struct Population {
   std::vector<PeerId> peers;
-  std::vector<std::string> hostnames;
   std::vector<double> cpu;
   std::vector<double> price;
   std::vector<bool> idle;
@@ -75,7 +74,6 @@ Population build_population(std::size_t n, std::uint64_t seed, bool correlated) 
   const std::size_t stats_cap = correlated ? n : kStatsPeers;
   const std::size_t history_cap = correlated ? n : kHistoryPeers;
   pop.peers.reserve(n);
-  pop.hostnames.reserve(n);
   pop.cpu.reserve(n);
   pop.price.reserve(n);
   pop.idle.reserve(n);
@@ -94,7 +92,6 @@ Population build_population(std::size_t n, std::uint64_t seed, bool correlated) 
   for (std::size_t i = 0; i < n; ++i) {
     const PeerId peer(i + 1);
     pop.peers.push_back(peer);
-    pop.hostnames.push_back("p" + std::to_string(i + 1));
     const double q = correlated
                          ? (static_cast<double>(quality[i]) + 0.5) / static_cast<double>(n)
                          : 0.0;
@@ -172,7 +169,6 @@ std::vector<core::PeerSnapshot> make_snapshots(const Population& pop) {
     core::PeerSnapshot snap;
     snap.peer = pop.peers[i];
     snap.node = NodeId(pop.peers[i].value() + 1);
-    snap.hostname = pop.hostnames[i];
     snap.cpu_ghz = pop.cpu[i];
     snap.price_per_cpu_second = pop.price[i];
     snap.online = true;
@@ -296,8 +292,8 @@ int main(int argc, char** argv) {
       index.attach_metrics(metrics.registry());
       index.set_history(&pop.history);
       for (std::size_t i = 0; i < n; ++i) {
-        index.upsert_peer(pop.peers[i], NodeId(pop.peers[i].value() + 1), pop.hostnames[i],
-                          pop.cpu[i], pop.price[i],
+        index.upsert_peer(pop.peers[i], NodeId(pop.peers[i].value() + 1), pop.cpu[i],
+                          pop.price[i],
                           i < pop.statistics.size() ? &pop.statistics[i] : nullptr, kNow,
                           pop.idle[i], pop.queued[i], pop.transfers[i]);
       }

@@ -82,6 +82,18 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+# google-benchmark reports real_time in each record's "time_unit"
+# (benchmark::kMicrosecond etc.); snapshots store nanoseconds.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(record: dict) -> float:
+    unit = record.get("time_unit", "ns")
+    if unit not in NS_PER_UNIT:
+        sys.exit(f"bench_compare: {record['name']}: unknown time_unit {unit!r}")
+    return record["real_time"] * NS_PER_UNIT[unit]
+
+
 OBS_SCHEMA = "peerlab.metrics/1"
 
 
@@ -264,7 +276,7 @@ def main() -> int:
             "label": args.label or "",
             "metrics": metrics,
             "benchmarks": {r["name"]: {
-                "real_time_ns": r["real_time"],
+                "real_time_ns": real_time_ns(r),
                 "items_per_second": r.get("items_per_second"),
                 "sim_events_per_s": r.get("sim_events/s"),
             } for r in sorted(records, key=lambda r: r["name"])},

@@ -19,7 +19,9 @@ class InvariantError : public std::logic_error {
 /// PEERLAB_CHECK throws. The obs::trace flight recorder installs one so
 /// a fired assertion dumps its postmortem before the stack unwinds.
 /// Plain function pointer + state (no <functional>) keeps this header
-/// featherweight; the process-wide slot holds at most one observer.
+/// featherweight. The slot is per thread and holds at most one
+/// observer: concurrent repetitions are each confined to one thread,
+/// so each sees only its own failures.
 using CheckObserver = void (*)(void* state, const char* what);
 
 namespace detail {
@@ -30,7 +32,7 @@ struct CheckHook {
 };
 
 inline CheckHook& check_hook() {
-  static CheckHook hook;
+  static thread_local CheckHook hook;
   return hook;
 }
 }  // namespace detail
@@ -39,8 +41,9 @@ inline void set_check_observer(CheckObserver fn, void* state) noexcept {
   detail::check_hook() = {fn, state, false};
 }
 
-/// Clears the observer only if `state` still owns the slot, so a
-/// long-dead installer cannot evict its successor.
+/// Clears the calling thread's observer only if `state` still owns the
+/// slot, so a long-dead installer cannot evict its successor. Call it
+/// on the thread that installed the observer.
 inline void clear_check_observer(void* state) noexcept {
   auto& hook = detail::check_hook();
   if (hook.state == state) hook = {};

@@ -108,8 +108,8 @@ CandidateIndex::Slot* CandidateIndex::find_slot(PeerId peer) {
   return it == slot_of_.end() ? nullptr : &slots_[it->second];
 }
 
-void CandidateIndex::upsert_peer(PeerId peer, NodeId node, const std::string& hostname,
-                                 GigaHertz cpu_ghz, double price_per_cpu_second,
+void CandidateIndex::upsert_peer(PeerId peer, NodeId node, GigaHertz cpu_ghz,
+                                 double price_per_cpu_second,
                                  const stats::PeerStatistics* statistics, Seconds last_seen,
                                  bool idle, int queued_tasks, int active_transfers) {
   const auto [it, inserted] = slot_of_.try_emplace(peer, static_cast<std::uint32_t>(slots_.size()));
@@ -119,7 +119,6 @@ void CandidateIndex::upsert_peer(PeerId peer, NodeId node, const std::string& ho
   if (inserted) {
     slot.snap.peer = peer;
     slot.snap.node = node;
-    slot.snap.hostname = hostname;
   }
   slot.snap.history = history_;
   slot.snap.cpu_ghz = cpu_ghz;

@@ -85,9 +85,9 @@ class CandidateIndex {
   void set_history(const stats::HistoryStore* history);
 
   /// Registers or refreshes a peer from a heartbeat / adopted record.
-  void upsert_peer(PeerId peer, NodeId node, const std::string& hostname, GigaHertz cpu_ghz,
-                   double price_per_cpu_second, const stats::PeerStatistics* statistics,
-                   Seconds last_seen, bool idle, int queued_tasks, int active_transfers);
+  void upsert_peer(PeerId peer, NodeId node, GigaHertz cpu_ghz, double price_per_cpu_second,
+                   const stats::PeerStatistics* statistics, Seconds last_seen, bool idle,
+                   int queued_tasks, int active_transfers);
 
   /// Points the peer at its (possibly newly-created) statistics record
   /// and schedules a re-key — the broker calls this from

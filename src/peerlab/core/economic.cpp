@@ -63,9 +63,14 @@ Seconds EconomicSchedulingModel::estimate_service_time(const PeerSnapshot& peer,
 
 double EconomicSchedulingModel::estimate_cost(const PeerSnapshot& peer,
                                               const SelectionContext& context) const {
-  GigaHertz speed = peer.cpu_ghz;
-  const Seconds cpu_time = context.work > 0.0 ? context.work / std::max(speed, 1e-6)
-                                              : estimate_service_time(peer, context);
+  return cost_for(peer, context, estimate_service_time(peer, context));
+}
+
+double EconomicSchedulingModel::cost_for(const PeerSnapshot& peer,
+                                         const SelectionContext& context,
+                                         Seconds service) const {
+  const Seconds cpu_time =
+      context.work > 0.0 ? context.work / std::max(peer.cpu_ghz, 1e-6) : service;
   return peer.price_per_cpu_second * cpu_time;
 }
 
@@ -96,8 +101,9 @@ void EconomicSchedulingModel::rank_into(std::span<const PeerSnapshot> candidates
     if (config_.prefer_idle && any_idle && !c.idle) continue;
     Offer offer;
     offer.peer = &c;
-    offer.completion = estimate_ready_time(c) + estimate_service_time(c, context);
-    offer.cost = estimate_cost(c, context);
+    const Seconds service = estimate_service_time(c, context);
+    offer.completion = estimate_ready_time(c) + service;
+    offer.cost = cost_for(c, context, service);
     if (context.deadline > 0.0 && context.now + offer.completion > context.deadline) {
       offer.feasible = false;
     }

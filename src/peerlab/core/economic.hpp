@@ -61,6 +61,11 @@ class EconomicSchedulingModel final : public SelectionModel {
   [[nodiscard]] const EconomicConfig& config() const noexcept { return config_; }
 
  private:
+  /// estimate_cost() given the candidate's already-estimated service
+  /// time (only read when the petition carries no compute work).
+  [[nodiscard]] double cost_for(const PeerSnapshot& peer, const SelectionContext& context,
+                                Seconds service) const;
+
   EconomicConfig config_;
 };
 

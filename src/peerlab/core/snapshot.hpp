@@ -3,10 +3,11 @@
 // PeerSnapshot: everything a selection model may know about a candidate
 // peer at decision time. The broker materializes snapshots from its
 // registry, statistics and history; models stay decoupled from the
-// overlay and are unit-testable on synthetic snapshots.
+// overlay and are unit-testable on synthetic snapshots. A snapshot is
+// plain data (no owned strings), so the broker refills one reused
+// buffer per petition without touching the heap.
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "peerlab/common/ids.hpp"
@@ -20,7 +21,6 @@ namespace peerlab::core {
 struct PeerSnapshot {
   PeerId peer;
   NodeId node;
-  std::string hostname;
 
   // Advertised/static properties.
   GigaHertz cpu_ghz = 1.0;

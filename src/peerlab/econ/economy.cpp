@@ -1,7 +1,6 @@
 #include "peerlab/econ/economy.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "peerlab/common/check.hpp"
 
@@ -80,7 +79,10 @@ int EconEngine::pending_assignments(PeerId peer, Seconds now) const noexcept {
 
 core::PeerSnapshot EconEngine::loaded_view(const core::PeerSnapshot& peer, Seconds now) const {
   const int pending = pending_assignments(peer.peer, now);
-  if (pending == 0) return peer;
+  return pending == 0 ? peer : with_hints(peer, pending);
+}
+
+core::PeerSnapshot EconEngine::with_hints(const core::PeerSnapshot& peer, int pending) {
   core::PeerSnapshot view = peer;
   view.idle = false;
   view.queued_tasks += pending;
@@ -90,7 +92,11 @@ core::PeerSnapshot EconEngine::loaded_view(const core::PeerSnapshot& peer, Secon
 
 Appraisal EconEngine::appraise(const core::PeerSnapshot& peer,
                                const core::SelectionContext& context) const {
-  const core::PeerSnapshot view = loaded_view(peer, context.now);
+  return appraise_view(loaded_view(peer, context.now), context);
+}
+
+Appraisal EconEngine::appraise_view(const core::PeerSnapshot& view,
+                                    const core::SelectionContext& context) const {
   Appraisal a;
   a.ready = estimators_.estimate_ready_time(view);
   a.service = estimators_.estimate_service_time(view, context);
@@ -141,38 +147,59 @@ EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapsho
     return verdict;
   }
 
-  std::unordered_map<PeerId, const core::PeerSnapshot*> by_peer;
-  by_peer.reserve(candidates.size());
-  for (const auto& snap : candidates) by_peer.emplace(snap.peer, &snap);
+  index_candidates(candidates);
+  // Unexpired hints, counted once per petition onto candidate positions.
+  pending_.assign(candidates.size(), 0);
+  for (const Hint& hint : hints_) {
+    if (hint.expires <= context.now) continue;
+    const std::size_t position = position_of(hint.peer);
+    if (position < candidates.size()) ++pending_[position];
+  }
 
   const core::EconObjective objective = objective_for(context);
   GigaHertz max_cpu = 0.0;
 
   entries_.clear();
-  entries_.reserve(ranking.size());
   for (std::size_t rank = 0; rank < ranking.size(); ++rank) {
-    const auto it = by_peer.find(ranking[rank]);
-    PEERLAB_CHECK_MSG(it != by_peer.end(), "ranked peer missing from candidate set");
     Entry entry;
     entry.peer = ranking[rank];
     entry.model_rank = rank;
-    entry.appraisal = appraise(*it->second, context);
+    entry.position = position_of(entry.peer);
+    PEERLAB_CHECK_MSG(entry.position < candidates.size(),
+                      "ranked peer missing from candidate set");
+    const core::PeerSnapshot& snap = candidates[entry.position];
+    const int pending = pending_[entry.position];
+    // Appraise the broker's snapshot in place; copy it only when an
+    // assignment hint has to be folded in.
+    entry.appraisal = pending == 0 ? appraise_view(snap, context)
+                                   : appraise_view(with_hints(snap, pending), context);
     entries_.push_back(entry);
-    max_cpu = std::max(max_cpu, it->second->cpu_ghz);
+    max_cpu = std::max(max_cpu, snap.cpu_ghz);
   }
   if (objective == core::EconObjective::kEfficiency) {
     for (Entry& entry : entries_) {
       // Availability must see the same assignment hints the appraisal
       // priced in, or a burst of petitions all crown the same peer.
-      entry.efficiency =
-          efficiency_score(loaded_view(*by_peer.at(entry.peer), context.now), max_cpu);
+      const core::PeerSnapshot& snap = candidates[entry.position];
+      const int pending = pending_[entry.position];
+      entry.efficiency = pending == 0 ? efficiency_score(snap, max_cpu)
+                                      : efficiency_score(with_hints(snap, pending), max_cpu);
     }
   }
 
   // Stable partition: feasible candidates first, both halves still in
-  // model order (model_rank is the universal tiebreak below).
-  const auto mid = std::stable_partition(entries_.begin(), entries_.end(),
-                                         [](const Entry& e) { return e.appraisal.feasible(); });
+  // model order (model_rank is the universal tiebreak below). By hand,
+  // through reused spill scratch: std::stable_partition allocates.
+  infeasible_.clear();
+  auto mid = entries_.begin();
+  for (const Entry& entry : entries_) {
+    if (entry.appraisal.feasible()) {
+      *mid++ = entry;
+    } else {
+      infeasible_.push_back(entry);
+    }
+  }
+  std::copy(infeasible_.begin(), infeasible_.end(), mid);
   verdict.appraised = entries_.size();
   verdict.feasible = static_cast<std::size_t>(mid - entries_.begin());
   if (verdict.feasible == 0) {
@@ -221,6 +248,25 @@ EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapsho
     m_.predicted_completion->record(winner.completion - context.now);
   }
   return verdict;
+}
+
+void EconEngine::index_candidates(std::span<const core::PeerSnapshot> candidates) {
+  positions_.clear();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    positions_.emplace_back(candidates[i].peer, i);
+  }
+  // The broker's snapshots arrive in peer order; anything else is
+  // sorted here (pairs order by peer, then by position).
+  if (!std::is_sorted(positions_.begin(), positions_.end())) {
+    std::sort(positions_.begin(), positions_.end());
+  }
+}
+
+std::size_t EconEngine::position_of(PeerId peer) const {
+  const auto it = std::lower_bound(
+      positions_.begin(), positions_.end(), peer,
+      [](const std::pair<PeerId, std::size_t>& entry, PeerId p) { return entry.first < p; });
+  return it != positions_.end() && it->first == peer ? it->second : positions_.size();
 }
 
 void EconEngine::attach_metrics(obs::MetricRegistry& registry) {

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "peerlab/common/ids.hpp"
@@ -155,7 +156,10 @@ class EconEngine {
   /// place: feasible candidates first, sorted by the petition's
   /// objective with the model's order breaking ties, then infeasible
   /// candidates in model order. `ranking` must only contain peers
-  /// present in `candidates`.
+  /// present in `candidates` (any order; a peer listed twice resolves
+  /// to its first snapshot). Allocation-free once warmed: unexpired
+  /// hints are counted once per petition, candidates are found by
+  /// position, and every intermediate lives in member scratch.
   Verdict admit_and_rank(std::span<const core::PeerSnapshot> candidates,
                          const core::SelectionContext& context,
                          std::vector<PeerId>& ranking);
@@ -193,6 +197,16 @@ class EconEngine {
   void attach_metrics(obs::MetricRegistry& registry);
 
  private:
+  /// `peer` with `pending` (> 0) assignment hints folded in.
+  [[nodiscard]] static core::PeerSnapshot with_hints(const core::PeerSnapshot& peer,
+                                                     int pending);
+  /// appraise() of a snapshot whose hints are already folded in.
+  [[nodiscard]] Appraisal appraise_view(const core::PeerSnapshot& view,
+                                        const core::SelectionContext& context) const;
+  /// Position of `peer` in the span index_candidates() last indexed.
+  [[nodiscard]] std::size_t position_of(PeerId peer) const;
+  void index_candidates(std::span<const core::PeerSnapshot> candidates);
+
   struct Metrics {
     obs::Counter* petitions = nullptr;
     obs::Counter* admitted = nullptr;
@@ -217,10 +231,16 @@ class EconEngine {
   struct Entry {
     PeerId peer;
     std::size_t model_rank = 0;
+    std::size_t position = 0;  ///< index into the candidate span
     Appraisal appraisal;
     double efficiency = 0.0;
   };
   std::vector<Entry> entries_;
+  std::vector<Entry> infeasible_;  ///< stable-partition spill
+  /// (peer, position) over the petition's candidates, sorted.
+  std::vector<std::pair<PeerId, std::size_t>> positions_;
+  /// Unexpired hints per candidate position.
+  std::vector<int> pending_;
 
   /// Outstanding assignment hints, pruned lazily on each note.
   struct Hint {

@@ -88,9 +88,7 @@ std::vector<PeerId> BrokerPeer::registered_clients() const {
 
 bool BrokerPeer::online(PeerId peer) const {
   const ClientRecord* record = client(peer);
-  if (record == nullptr) return false;
-  const Seconds silence = sim().now() - record->last_seen;
-  return silence <= config_.heartbeat_interval * config_.offline_after_missed;
+  return record != nullptr && online(*record, sim().now());
 }
 
 void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model) {
@@ -99,153 +97,101 @@ void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model
   if (index_active_) index_.bind_model(model_.get());
 }
 
-std::vector<core::PeerSnapshot> BrokerPeer::snapshot_group() const {
-  std::vector<core::PeerSnapshot> snapshots;
-  snapshots.reserve(clients_.size());
-  const auto& topology = endpoint_.fabric().network().topology();
+void BrokerPeer::fill_snapshots(std::vector<core::PeerSnapshot>& out) const {
+  out.clear();
+  out.reserve(clients_.size());
+  const auto& nodes = topology();
+  const Seconds now = sim().now();
+  // Both maps are ordered by peer, so the statistics cursor only ever
+  // moves forward.
+  auto stats_it = statistics_.begin();
   for (const auto& [peer, record] : clients_) {
-    core::PeerSnapshot snap;
+    while (stats_it != statistics_.end() && stats_it->first < peer) ++stats_it;
+    core::PeerSnapshot& snap = out.emplace_back();
     snap.peer = peer;
     snap.node = record.node;
-    const auto& profile = topology.node(record.node).profile();
-    snap.hostname = profile.hostname;
+    const auto& profile = nodes.node(record.node).profile();
     snap.cpu_ghz = profile.cpu_ghz;
     snap.price_per_cpu_second = profile.price_per_cpu_second;
-    snap.online = online(peer);
+    snap.online = online(record, now);
     snap.idle = record.idle;
     snap.queued_tasks = record.backlog;
     snap.active_transfers = record.pending_transfers;
-    const auto stats_it = statistics_.find(peer);
-    snap.statistics = stats_it == statistics_.end() ? nullptr : &stats_it->second;
-    snap.history = &history_;
-    if (config_.reputation.enabled) {
-      snap.reputation = reputation_.score(peer, sim().now());
+    if (stats_it != statistics_.end() && stats_it->first == peer) {
+      snap.statistics = &stats_it->second;
     }
-    snapshots.push_back(std::move(snap));
+    snap.history = &history_;
+    if (config_.reputation.enabled) snap.reputation = reputation_.score(peer, now);
   }
+}
+
+std::vector<core::PeerSnapshot> BrokerPeer::snapshot_group() const {
+  std::vector<core::PeerSnapshot> snapshots;
+  fill_snapshots(snapshots);
   return snapshots;
 }
 
-PeerId BrokerPeer::select_peer(const core::SelectionContext& context) {
-  const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
-  const bool traced = trace_ != nullptr && context.trace.active();
-  if (econ_.applies(context)) {
-    const auto selected = econ_select(context, 1);
-    return selected.empty() ? PeerId() : selected.front();
-  }
-  if (index_active_ && index_.try_select(context, sim().now(), 1, index_out_)) {
-    if (traced) trace_->emit(node_, TraceKind::kIndexPull, context.trace, 1, index_out_.size());
-    return index_out_.empty() ? PeerId() : index_out_.front();
-  }
-  const auto snapshots = snapshot_group();
+const core::SelectionContext& BrokerPeer::scan(const core::SelectionContext& context,
+                                               bool traced) {
+  fill_snapshots(snapshots_);
   if (!config_.reputation.enabled) {
-    const PeerId best = model_->select(snapshots, context);
-    if (traced) {
-      trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                   best.valid() ? 1 : 0);
-    }
-    return best;
+    model_->rank_into(snapshots_, context, ranking_);
+    return context;
   }
-  core::SelectionContext defended = context;
-  defended.reputation_weight = config_.reputation.rank_penalty_weight;
-  const std::size_t base_excludes = defended.exclude.size();
-  reputation_.append_quarantined(sim().now(), defended.exclude);
-  PeerId best = model_->select(snapshots, defended);
-  if (!best.valid() && defended.exclude.size() > base_excludes) {
+  defended_ = context;  // reuses the exclude buffer's capacity
+  defended_.reputation_weight = config_.reputation.rank_penalty_weight;
+  const std::size_t base_excludes = defended_.exclude.size();
+  reputation_.append_quarantined(sim().now(), defended_.exclude);
+  if (traced && defended_.exclude.size() > base_excludes) {
+    trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
+                 defended_.exclude.size() - base_excludes, 0);
+  }
+  model_->rank_into(snapshots_, defended_, ranking_);
+  if (ranking_.empty() && defended_.exclude.size() > base_excludes) {
     // Graceful degradation: a quarantine that empties the candidate set
     // is lifted for this decision — a distrusted peer beats none.
-    defended.exclude.resize(base_excludes);
-    best = model_->select(snapshots, defended);
+    defended_.exclude.resize(base_excludes);
+    model_->rank_into(snapshots_, defended_, ranking_);
   }
-  if (traced) {
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                 best.valid() ? 1 : 0);
-  }
-  return best;
+  return defended_;
 }
 
 std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& context,
                                              std::size_t k) {
   const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
   const bool traced = trace_ != nullptr && context.trace.active();
-  if (econ_.applies(context)) return econ_select(context, k);
-  if (index_active_ && index_.try_select(context, sim().now(), k, index_out_)) {
+  // Economically-constrained petitions never take the index fast path:
+  // admission needs the model's *full* ranking (the index's threshold
+  // walk stops at k), and the index refuses these contexts anyway.
+  const bool econ = econ_.applies(context);
+  if (!econ && index_active_ && index_.try_select(context, sim().now(), k, index_out_)) {
     if (traced) {
       trace_->emit(node_, TraceKind::kIndexPull, context.trace, k, index_out_.size());
       audit_index_selection(context, k, index_out_);
     }
     return index_out_;
   }
-  const auto snapshots = snapshot_group();
-  if (!config_.reputation.enabled) {
-    auto selected = model_->select_k(snapshots, context, k);
-    if (traced) {
-      trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                   selected.size());
-    }
-    return selected;
-  }
-  core::SelectionContext defended = context;
-  defended.reputation_weight = config_.reputation.rank_penalty_weight;
-  const std::size_t base_excludes = defended.exclude.size();
-  reputation_.append_quarantined(sim().now(), defended.exclude);
-  if (traced && defended.exclude.size() > base_excludes) {
-    trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
-                 defended.exclude.size() - base_excludes, 0);
-  }
-  auto selected = model_->select_k(snapshots, defended, k);
-  if (selected.empty() && defended.exclude.size() > base_excludes) {
-    defended.exclude.resize(base_excludes);
-    selected = model_->select_k(snapshots, defended, k);
+  const core::SelectionContext& effective = scan(context, traced);
+  econ::EconEngine::Verdict verdict;
+  if (econ) verdict = econ_.admit_and_rank(snapshots_, effective, ranking_);
+  const auto n = static_cast<std::ptrdiff_t>(std::min(k, ranking_.size()));
+  std::vector<PeerId> selected(ranking_.begin(), ranking_.begin() + n);
+  if (econ) {
+    // Optimistic backlog: the answered peers are about to receive work
+    // the next heartbeat cannot know about yet. Hint the engine so a
+    // burst of constrained petitions spreads instead of piling onto the
+    // one peer whose stale snapshot still looks idle.
+    for (const PeerId peer : selected) econ_.note_assignment(peer, sim().now());
   }
   if (traced) {
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
+    if (econ) {
+      trace_->emit(node_, TraceKind::kEconRank, context.trace, verdict.feasible,
+                   verdict.exhausted ? 0 : verdict.appraised);
+    }
+    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots_.size(),
                  selected.size());
   }
   return selected;
-}
-
-std::vector<PeerId> BrokerPeer::econ_select(const core::SelectionContext& context,
-                                            std::size_t k) {
-  // Economically-constrained petitions never take the index fast path:
-  // admission needs the model's *full* ranking (the index's threshold
-  // walk stops at k), and the index refuses these contexts anyway. The
-  // reputation overlay is applied exactly as on the plain scan path so
-  // a defended broker defends constrained petitions too.
-  const bool traced = trace_ != nullptr && context.trace.active();
-  const auto snapshots = snapshot_group();
-  core::SelectionContext effective = context;
-  const std::size_t base_excludes = effective.exclude.size();
-  if (config_.reputation.enabled) {
-    effective.reputation_weight = config_.reputation.rank_penalty_weight;
-    reputation_.append_quarantined(sim().now(), effective.exclude);
-    if (traced && effective.exclude.size() > base_excludes) {
-      trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
-                   effective.exclude.size() - base_excludes, 0);
-    }
-  }
-  std::vector<PeerId> ranking;
-  model_->rank_into(snapshots, effective, ranking);
-  if (ranking.empty() && effective.exclude.size() > base_excludes) {
-    // Same graceful degradation as the plain path: a quarantine that
-    // empties the candidate set is lifted for this decision.
-    effective.exclude.resize(base_excludes);
-    model_->rank_into(snapshots, effective, ranking);
-  }
-  const auto verdict = econ_.admit_and_rank(snapshots, effective, ranking);
-  if (ranking.size() > k) ranking.resize(k);
-  // Optimistic backlog: the answered peers are about to receive work
-  // the next heartbeat cannot know about yet. Hint the engine so a
-  // burst of constrained petitions spreads instead of piling onto the
-  // one peer whose stale snapshot still looks idle.
-  for (const PeerId peer : ranking) econ_.note_assignment(peer, sim().now());
-  if (traced) {
-    trace_->emit(node_, TraceKind::kEconRank, context.trace, verdict.feasible,
-                 verdict.exhausted ? 0 : verdict.appraised);
-    trace_->emit(node_, TraceKind::kSelectRank, context.trace, snapshots.size(),
-                 ranking.size());
-  }
-  return ranking;
 }
 
 void BrokerPeer::audit_index_selection(const core::SelectionContext& context, std::size_t k,
@@ -384,15 +330,14 @@ void BrokerPeer::rebuild_index() {
   index_.set_history(&history_);
   history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
   index_.bind_model(model_.get());
-  const auto& topology = endpoint_.fabric().network().topology();
-  for (const auto& [peer, record] : clients_) {
-    const auto& profile = topology.node(record.node).profile();
-    const auto stats_it = statistics_.find(peer);
-    index_.upsert_peer(peer, record.node, profile.hostname, profile.cpu_ghz,
-                       profile.price_per_cpu_second,
-                       stats_it == statistics_.end() ? nullptr : &stats_it->second,
-                       record.last_seen, record.idle, record.backlog, record.pending_transfers);
-  }
+  for (const auto& [peer, record] : clients_) upsert_index(peer, record);
+}
+
+void BrokerPeer::upsert_index(PeerId peer, const ClientRecord& record) {
+  const auto& profile = topology().node(record.node).profile();
+  index_.upsert_peer(peer, record.node, profile.cpu_ghz, profile.price_per_cpu_second,
+                     find_statistics(peer), record.last_seen, record.idle, record.backlog,
+                     record.pending_transfers);
 }
 
 void BrokerPeer::on_heartbeat(const transport::Message& m) {
@@ -412,15 +357,7 @@ void BrokerPeer::on_heartbeat(const transport::Message& m) {
   record.backlog = static_cast<int>(m.seq);
   record.pending_transfers = static_cast<int>(m.arg / 2);
   record.idle = (m.arg % 2) == 1;
-  if (index_active_) {
-    const auto& profile =
-        endpoint_.fabric().network().topology().node(record.node).profile();
-    const auto stats_it = statistics_.find(peer);
-    index_.upsert_peer(peer, record.node, profile.hostname, profile.cpu_ghz,
-                       profile.price_per_cpu_second,
-                       stats_it == statistics_.end() ? nullptr : &stats_it->second,
-                       record.last_seen, record.idle, record.backlog, record.pending_transfers);
-  }
+  if (index_active_) upsert_index(peer, record);
 }
 
 void BrokerPeer::on_stats_report(const transport::Message& m) {

@@ -77,6 +77,9 @@ class BrokerPeer {
   [[nodiscard]] stats::HistoryStore& history() noexcept { return history_; }
   [[nodiscard]] const stats::HistoryStore& history() const noexcept { return history_; }
   [[nodiscard]] jxta::DiscoveryService& discovery() noexcept { return discovery_; }
+  [[nodiscard]] const net::Topology& topology() const noexcept {
+    return endpoint_.fabric().network().topology();
+  }
 
   /// Statistics record for a peer (created on first touch).
   [[nodiscard]] stats::PeerStatistics& statistics_for(PeerId peer);
@@ -101,7 +104,8 @@ class BrokerPeer {
   void set_selection_model(std::unique_ptr<core::SelectionModel> model);
   [[nodiscard]] core::SelectionModel& selection_model() noexcept { return *model_; }
 
-  /// Materializes the current view of every registered client.
+  /// Materializes the current view of every registered client, in peer
+  /// order (the selection paths fill a reused buffer the same way).
   [[nodiscard]] std::vector<core::PeerSnapshot> snapshot_group() const;
 
   /// The selection fast-path index (counters are live even when the
@@ -110,10 +114,17 @@ class BrokerPeer {
   [[nodiscard]] bool index_active() const noexcept { return index_active_; }
 
   /// Local (zero-latency) selection; the wire path goes through the
-  /// kSelectRequest handler.
-  [[nodiscard]] PeerId select_peer(const core::SelectionContext& context);
+  /// kSelectRequest handler. One pipeline serves every petition: the
+  /// index fast path when it applies, otherwise the scan (reputation
+  /// overlay, quarantine-lift fallback), then econ admission for
+  /// constrained petitions, then the trace.
   [[nodiscard]] std::vector<PeerId> select_peers(const core::SelectionContext& context,
                                                  std::size_t k);
+  /// select_peers(context, 1), or an invalid id when nothing is eligible.
+  [[nodiscard]] PeerId select_peer(const core::SelectionContext& context) {
+    const auto selected = select_peers(context, 1);
+    return selected.empty() ? PeerId() : selected.front();
+  }
 
   /// Applies one batch of client observations (also invoked directly
   /// by in-process tests). The reporter-attributed overload is the wire
@@ -205,16 +216,24 @@ class BrokerPeer {
 
   void on_heartbeat(const transport::Message& m);
   void on_stats_report(const transport::Message& m);
+  [[nodiscard]] bool online(const ClientRecord& record, Seconds now) const noexcept {
+    return now - record.last_seen <= config_.heartbeat_interval * config_.offline_after_missed;
+  }
+  /// Refills `out` with every registered client's view: one ordered
+  /// walk of the registry with the statistics map walked in lockstep.
+  void fill_snapshots(std::vector<core::PeerSnapshot>& out) const;
+  /// The scan step of every non-index selection: refills snapshots_,
+  /// builds the defended context (reputation penalty and quarantine
+  /// excludes, lifted again if they leave nothing eligible) and ranks
+  /// into ranking_. Returns the context the ranking was made under.
+  const core::SelectionContext& scan(const core::SelectionContext& context, bool traced);
   /// Sampled index-vs-scan equivalence check (traced selections only).
   void audit_index_selection(const core::SelectionContext& context, std::size_t k,
                              const std::vector<PeerId>& picked);
+  /// Registers or refreshes one client with the index.
+  void upsert_index(PeerId peer, const ClientRecord& record);
   /// Re-registers every client with the index (adopted state).
   void rebuild_index();
-  /// The economically-constrained selection path: full model ranking
-  /// (reputation overlay included), then engine admission/re-ranking,
-  /// truncated to k. Only reached when econ_.applies(context).
-  [[nodiscard]] std::vector<PeerId> econ_select(const core::SelectionContext& context,
-                                                std::size_t k);
   void serve_selection(const transport::Message& m);
   void forward_query(const jxta::AdvertisementQuery& query, std::size_t peer_index,
                      std::shared_ptr<std::vector<jxta::Advertisement>> accumulated,
@@ -238,6 +257,10 @@ class BrokerPeer {
   core::CandidateIndex index_;
   bool index_active_ = false;
   std::vector<PeerId> index_out_;
+  // Scan scratch reused across petitions.
+  std::vector<core::PeerSnapshot> snapshots_;
+  std::vector<PeerId> ranking_;
+  core::SelectionContext defended_;
   transport::ReliableChannel select_channel_;
   obs::trace::TraceRecorder* trace_ = nullptr;
   std::uint64_t audit_clock_ = 0;

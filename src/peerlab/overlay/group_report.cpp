@@ -17,11 +17,12 @@ GroupReport make_group_report(const BrokerPeer& broker) {
   report.selections_served = broker.selections_served();
 
   const auto snapshots = broker.snapshot_group();
+  const auto& topology = broker.topology();
   report.registered = snapshots.size();
   for (const auto& snap : snapshots) {
     GroupReport::PeerLine line;
     line.peer = snap.peer;
-    line.hostname = snap.hostname;
+    line.hostname = topology.node(snap.node).profile().hostname;
     line.online = snap.online;
     line.idle = snap.idle;
     line.backlog = snap.queued_tasks;

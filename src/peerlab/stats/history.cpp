@@ -16,38 +16,39 @@ HistoryStore::HistoryStore(std::size_t per_peer_capacity) : capacity_(per_peer_c
 }
 
 HistoryStore::HistoryStore(const HistoryStore& other)
-    : capacity_(other.capacity_),
-      tasks_(other.tasks_),
-      transfers_(other.transfers_),
-      responses_(other.responses_) {}
+    : capacity_(other.capacity_), peers_(other.peers_) {}
 
 HistoryStore& HistoryStore::operator=(const HistoryStore& other) {
   capacity_ = other.capacity_;
-  tasks_ = other.tasks_;
-  transfers_ = other.transfers_;
-  responses_ = other.responses_;
+  peers_ = other.peers_;
   return *this;  // observer_ untouched: bound to this instance
 }
 
 HistoryStore::HistoryStore(HistoryStore&& other) noexcept
-    : capacity_(other.capacity_),
-      tasks_(std::move(other.tasks_)),
-      transfers_(std::move(other.transfers_)),
-      responses_(std::move(other.responses_)) {}
+    : capacity_(other.capacity_), peers_(std::move(other.peers_)) {}
 
 HistoryStore& HistoryStore::operator=(HistoryStore&& other) noexcept {
   capacity_ = other.capacity_;
-  tasks_ = std::move(other.tasks_);
-  transfers_ = std::move(other.transfers_);
-  responses_ = std::move(other.responses_);
+  peers_ = std::move(other.peers_);
   return *this;  // observer_ untouched: bound to this instance
+}
+
+HistoryStore::PeerHistory& HistoryStore::touch(PeerId peer) {
+  PeerHistory& history = peers_[peer];
+  history.memo = {};
+  return history;
+}
+
+const HistoryStore::PeerHistory* HistoryStore::find(PeerId peer) const {
+  const auto it = peers_.find(peer);
+  return it == peers_.end() ? nullptr : &it->second;
 }
 
 void HistoryStore::record_task(const TaskRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "task record needs a peer");
   PEERLAB_CHECK_MSG(record.finished >= record.started && record.started >= record.submitted,
                     "task record times out of order");
-  auto& records = tasks_[record.peer];
+  auto& records = touch(record.peer).tasks;
   records.push_back(record);
   bound(records);
   notify(record.peer);
@@ -55,7 +56,7 @@ void HistoryStore::record_task(const TaskRecord& record) {
 
 void HistoryStore::record_transfer(const TransferRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "transfer record needs a peer");
-  auto& records = transfers_[record.peer];
+  auto& records = touch(record.peer).transfers;
   records.push_back(record);
   bound(records);
   notify(record.peer);
@@ -63,7 +64,7 @@ void HistoryStore::record_transfer(const TransferRecord& record) {
 
 void HistoryStore::record_response_time(PeerId peer, Seconds elapsed) {
   PEERLAB_CHECK_MSG(peer.valid() && elapsed >= 0.0, "bad response-time record");
-  auto& records = responses_[peer];
+  auto& records = touch(peer).responses;
   records.push_back(elapsed);
   bound(records);
   notify(peer);
@@ -87,74 +88,79 @@ std::optional<double> tail_mean(const std::deque<T>& records, std::size_t last_n
 }
 }  // namespace
 
+template <typename Compute>
+std::optional<double> HistoryStore::memoized(PeerId peer, Estimator e, std::size_t last_n,
+                                             Compute compute) const {
+  const PeerHistory* history = find(peer);
+  if (history == nullptr) return std::nullopt;
+  Memo& memo = history->memo[e];
+  if (!memo.valid || memo.last_n != last_n) memo = {true, last_n, compute(*history)};
+  return memo.value;
+}
+
 std::optional<Seconds> HistoryStore::mean_execution_time(PeerId peer, std::size_t last_n) const {
-  const auto it = tasks_.find(peer);
-  if (it == tasks_.end()) return std::nullopt;
-  return tail_mean(
-      it->second, last_n, [](const TaskRecord& r) { return r.ok; },
-      [](const TaskRecord& r) { return r.execution_time(); });
+  return memoized(peer, kExecution, last_n, [last_n](const PeerHistory& h) {
+    return tail_mean(
+        h.tasks, last_n, [](const TaskRecord& r) { return r.ok; },
+        [](const TaskRecord& r) { return r.execution_time(); });
+  });
 }
 
 std::optional<GigaHertz> HistoryStore::mean_effective_speed(PeerId peer,
                                                             std::size_t last_n) const {
-  const auto it = tasks_.find(peer);
-  if (it == tasks_.end()) return std::nullopt;
-  return tail_mean(
-      it->second, last_n,
-      [](const TaskRecord& r) { return r.ok && r.execution_time() > 0.0 && r.work > 0.0; },
-      [](const TaskRecord& r) { return r.work / r.execution_time(); });
+  return memoized(peer, kSpeed, last_n, [last_n](const PeerHistory& h) {
+    return tail_mean(
+        h.tasks, last_n,
+        [](const TaskRecord& r) { return r.ok && r.execution_time() > 0.0 && r.work > 0.0; },
+        [](const TaskRecord& r) { return r.work / r.execution_time(); });
+  });
 }
 
 std::optional<MbitPerSec> HistoryStore::mean_transfer_rate(PeerId peer,
                                                            std::size_t last_n) const {
-  const auto it = transfers_.find(peer);
-  if (it == transfers_.end()) return std::nullopt;
-  return tail_mean(
-      it->second, last_n,
-      [](const TransferRecord& r) { return r.ok && r.duration > 0.0; },
-      [](const TransferRecord& r) { return r.achieved_rate(); });
+  return memoized(peer, kRate, last_n, [last_n](const PeerHistory& h) {
+    return tail_mean(
+        h.transfers, last_n, [](const TransferRecord& r) { return r.ok && r.duration > 0.0; },
+        [](const TransferRecord& r) { return r.achieved_rate(); });
+  });
 }
 
 std::optional<Seconds> HistoryStore::mean_response_time(PeerId peer, std::size_t last_n) const {
-  const auto it = responses_.find(peer);
-  if (it == responses_.end()) return std::nullopt;
-  return tail_mean(
-      it->second, last_n, [](Seconds) { return true; }, [](Seconds s) { return s; });
+  return memoized(peer, kResponse, last_n, [last_n](const PeerHistory& h) {
+    return tail_mean(
+        h.responses, last_n, [](Seconds) { return true; }, [](Seconds s) { return s; });
+  });
 }
 
 double HistoryStore::task_success_rate(PeerId peer) const {
-  const auto it = tasks_.find(peer);
-  if (it == tasks_.end() || it->second.empty()) return 1.0;
-  const auto ok = std::count_if(it->second.begin(), it->second.end(),
+  const PeerHistory* history = find(peer);
+  if (history == nullptr || history->tasks.empty()) return 1.0;
+  const auto ok = std::count_if(history->tasks.begin(), history->tasks.end(),
                                 [](const TaskRecord& r) { return r.ok; });
-  return static_cast<double>(ok) / static_cast<double>(it->second.size());
+  return static_cast<double>(ok) / static_cast<double>(history->tasks.size());
 }
 
 std::vector<TaskRecord> HistoryStore::tasks_for(PeerId peer) const {
-  const auto it = tasks_.find(peer);
-  if (it == tasks_.end()) return {};
-  return {it->second.begin(), it->second.end()};
+  const PeerHistory* history = find(peer);
+  if (history == nullptr) return {};
+  return {history->tasks.begin(), history->tasks.end()};
 }
 
 std::vector<TransferRecord> HistoryStore::transfers_for(PeerId peer) const {
-  const auto it = transfers_.find(peer);
-  if (it == transfers_.end()) return {};
-  return {it->second.begin(), it->second.end()};
+  const PeerHistory* history = find(peer);
+  if (history == nullptr) return {};
+  return {history->transfers.begin(), history->transfers.end()};
 }
 
 std::size_t HistoryStore::task_count(PeerId peer) const {
-  const auto it = tasks_.find(peer);
-  return it == tasks_.end() ? 0 : it->second.size();
+  const PeerHistory* history = find(peer);
+  return history == nullptr ? 0 : history->tasks.size();
 }
 
 std::vector<PeerId> HistoryStore::known_peers() const {
   std::vector<PeerId> peers;
-  auto add = [&peers](PeerId p) {
-    if (std::find(peers.begin(), peers.end(), p) == peers.end()) peers.push_back(p);
-  };
-  for (const auto& [peer, records] : tasks_) add(peer);
-  for (const auto& [peer, records] : transfers_) add(peer);
-  for (const auto& [peer, records] : responses_) add(peer);
+  peers.reserve(peers_.size());
+  for (const auto& [peer, history] : peers_) peers.push_back(peer);
   std::sort(peers.begin(), peers.end());
   return peers;
 }

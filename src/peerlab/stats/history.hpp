@@ -6,6 +6,7 @@
 // kept for the peergroup", and to the user-preference model's notion of
 // which peers were quick in past submissions.
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -52,6 +53,8 @@ class HistoryStore {
   // snapshot copy must not ship the primary's observer to a standby
   // (it would dangle once the primary dies), and adopting replicated
   // state must not silently disconnect the adopter's own index hook.
+  // Memoized tail means travel with the records they were computed
+  // from, so a copied memo is exactly as valid as the original.
   HistoryStore(const HistoryStore& other);
   HistoryStore& operator=(const HistoryStore& other);
   HistoryStore(HistoryStore&& other) noexcept;
@@ -69,6 +72,11 @@ class HistoryStore {
   void record_response_time(PeerId peer, Seconds elapsed);
 
   // ---- estimators ----
+  // Each tail mean is memoized per peer (keyed by `last_n`) and
+  // invalidated by that peer's next record_* call: selection scans ask
+  // for the same means several times per candidate and petition, and
+  // a memo hit returns the very double the loop computed.
+
   /// Mean execution time of the peer's last `last_n` successful tasks;
   /// nullopt when the peer has no successful history.
   [[nodiscard]] std::optional<Seconds> mean_execution_time(PeerId peer,
@@ -95,19 +103,44 @@ class HistoryStore {
   [[nodiscard]] std::vector<PeerId> known_peers() const;
 
  private:
+  enum Estimator : std::uint8_t { kExecution, kSpeed, kRate, kResponse, kEstimators };
+
+  /// One memoized tail mean; `valid` is cleared by the peer's records.
+  struct Memo {
+    bool valid = false;
+    std::size_t last_n = 0;
+    std::optional<double> value;
+  };
+
+  /// Everything kept about one peer.
+  struct PeerHistory {
+    std::deque<TaskRecord> tasks;
+    std::deque<TransferRecord> transfers;
+    std::deque<Seconds> responses;
+    mutable std::array<Memo, kEstimators> memo{};
+  };
+
   template <typename T>
   void bound(std::deque<T>& records) {
     while (records.size() > capacity_) records.pop_front();
   }
 
+  /// The peer's record, created on first touch, with its memo cleared.
+  PeerHistory& touch(PeerId peer);
+
+  /// The memoized estimator `e` of `peer`; `compute` runs on a miss.
+  template <typename Compute>
+  std::optional<double> memoized(PeerId peer, Estimator e, std::size_t last_n,
+                                 Compute compute) const;
+
   void notify(PeerId peer) const {
     if (observer_) observer_(peer);
   }
 
+  [[nodiscard]] const PeerHistory* find(PeerId peer) const;
+
   std::size_t capacity_;
-  std::unordered_map<PeerId, std::deque<TaskRecord>> tasks_;
-  std::unordered_map<PeerId, std::deque<TransferRecord>> transfers_;
-  std::unordered_map<PeerId, std::deque<Seconds>> responses_;
+  std::unordered_map<PeerId, PeerHistory> peers_;
   MutationObserver observer_;
 };
 

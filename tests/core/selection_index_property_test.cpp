@@ -44,7 +44,6 @@ constexpr int kScenariosPerModel = 200;
 struct FuzzPeer {
   PeerId peer;
   NodeId node;
-  std::string hostname;
   double cpu_ghz = 1.0;
   double price = 1.0;
   bool idle = true;
@@ -72,7 +71,6 @@ class Harness {
     if (inserted) {
       p.peer = peer;
       p.node = NodeId(peer.value() + 1);
-      p.hostname = "peer" + std::to_string(peer.value());
       p.cpu_ghz = 0.5 + 0.25 * static_cast<double>(rng() % 16);
       p.price = 0.25 + 0.25 * static_cast<double>(rng() % 8);
     }
@@ -80,7 +78,7 @@ class Harness {
     p.queued = static_cast<int>(rng() % 5);
     p.transfers = static_cast<int>(rng() % 3);
     p.last_seen = now_;
-    index_.upsert_peer(p.peer, p.node, p.hostname, p.cpu_ghz, p.price, find_stats(peer),
+    index_.upsert_peer(p.peer, p.node, p.cpu_ghz, p.price, find_stats(peer),
                        p.last_seen, p.idle, p.queued, p.transfers);
   }
 
@@ -174,7 +172,6 @@ class Harness {
       PeerSnapshot snap;
       snap.peer = p.peer;
       snap.node = p.node;
-      snap.hostname = p.hostname;
       snap.cpu_ghz = p.cpu_ghz;
       snap.price_per_cpu_second = p.price;
       snap.online = (now_ - p.last_seen) <= kInterval * kMissed;

@@ -65,7 +65,7 @@ TEST(Broker, SnapshotsCarryProfileAndDynamicState) {
   ASSERT_EQ(snapshots.size(), 3u);
   const auto& first = snapshots.front();
   EXPECT_EQ(first.peer, PeerId(2));
-  EXPECT_EQ(first.hostname, "sc1.example");
+  EXPECT_EQ(w.network->topology().node(first.node).profile().hostname, "sc1.example");
   EXPECT_DOUBLE_EQ(first.cpu_ghz, 1.0);
   EXPECT_TRUE(first.online);
   EXPECT_TRUE(first.idle);

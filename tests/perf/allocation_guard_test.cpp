@@ -12,6 +12,10 @@
 // Counting is toggled around the measured region only, so gtest's own
 // bookkeeping stays out of the numbers. The whole binary is
 // single-threaded; plain counters are fine.
+//
+// The broker's scan path makes a weaker, size-independent promise: a
+// defended, econ-enabled petition allocates only its answer, so the
+// count must not grow with the registry.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +31,11 @@
 #include "peerlab/core/economic.hpp"
 #include "peerlab/core/hybrid.hpp"
 #include "peerlab/core/user_preference.hpp"
+#include "peerlab/econ/economy.hpp"
 #include "peerlab/net/flow_scheduler.hpp"
 #include "peerlab/net/topology.hpp"
 #include "peerlab/sim/simulator.hpp"
+#include "overlay/overlay_world.hpp"
 
 namespace {
 
@@ -183,15 +189,14 @@ TEST(AllocationGuard, FlowSchedulerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
-  // Synthetic candidate pool; everything that allocates (hostnames,
-  // the snapshot vector itself) is built before the guard arms.
+  // Synthetic candidate pool; everything that allocates (the snapshot
+  // vector itself) is built before the guard arms.
   std::vector<core::PeerSnapshot> pool;
   std::vector<PeerId> preference;
   for (int i = 0; i < 16; ++i) {
     core::PeerSnapshot s;
     s.peer = PeerId(static_cast<std::uint64_t>(i + 1));
     s.node = NodeId(static_cast<std::uint64_t>(i + 100));
-    s.hostname = "peer-" + std::to_string(i);
     s.cpu_ghz = 1.0 + (i % 5) * 0.6;
     s.price_per_cpu_second = 0.5 + (i % 3) * 0.25;
     s.idle = i % 4 != 0;
@@ -245,6 +250,111 @@ TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
   const std::size_t allocations = guard.count();
   EXPECT_EQ(0u, allocations) << "selection petition path allocated";
   EXPECT_GT(picks, 0u);
+}
+
+TEST(AllocationGuard, EconAdmissionIsAllocationFreeOnceWarmed) {
+  stats::HistoryStore history;
+  std::vector<core::PeerSnapshot> pool;
+  for (int i = 0; i < 32; ++i) {
+    core::PeerSnapshot s;
+    s.peer = PeerId(static_cast<std::uint64_t>(i + 1));
+    s.node = NodeId(static_cast<std::uint64_t>(i + 100));
+    s.cpu_ghz = 1.0 + (i % 5) * 0.6;
+    s.price_per_cpu_second = 0.5 + (i % 3) * 0.25;
+    s.idle = i % 4 != 0;
+    s.queued_tasks = i % 3;
+    s.active_transfers = i % 2;
+    s.history = &history;
+    history.record_response_time(s.peer, 0.05 * (i % 7 + 1));
+    stats::TransferRecord transfer;
+    transfer.peer = s.peer;
+    transfer.size = megabytes(1.0 + i % 4);
+    transfer.duration = 0.5 + 0.25 * (i % 6);
+    transfer.ok = true;
+    history.record_transfer(transfer);
+    pool.push_back(s);
+  }
+  econ::EconConfig config;
+  config.enabled = true;
+  econ::EconEngine engine(config);
+
+  std::vector<PeerId> model_order;
+  for (auto it = pool.rbegin(); it != pool.rend(); ++it) model_order.push_back(it->peer);
+  std::vector<PeerId> ranking;
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = megabytes(10.0);
+  std::uint64_t picks = 0;
+  // One petition per simulated second under every objective, with
+  // tight and loose contracts alternating (exhausted and admitted
+  // verdicts both), each noting its winner as an assignment hint.
+  const auto petition = [&](int i) {
+    ctx.now = static_cast<Seconds>(i);
+    ctx.deadline = ctx.now + (i % 2 == 0 ? 30.0 : 1e6);
+    ctx.budget = i % 3 == 0 ? 0.01 : 100.0;
+    ctx.objective = static_cast<core::EconObjective>(i % 5);
+    ranking.assign(model_order.begin(), model_order.end());
+    const auto verdict = engine.admit_and_rank(pool, ctx, ranking);
+    picks += verdict.feasible;
+    engine.note_assignment(ranking.front(), ctx.now);
+  };
+
+  // Warm: member scratch and the hint list reach their high-water
+  // marks (hints expire after assignment_hold, so the list plateaus).
+  for (int i = 0; i < 200; ++i) petition(i);
+
+  AllocationGuard guard;
+  for (int i = 200; i < 1200; ++i) petition(i);
+  const std::size_t allocations = guard.count();
+  EXPECT_EQ(0u, allocations) << "econ admission allocated";
+  EXPECT_GT(picks, 0u);
+}
+
+/// Allocations made by `petitions` defended, econ-enabled broker
+/// selections over a registry of `clients`, after a warm-up.
+std::size_t defended_econ_selection_allocations(int clients, int petitions) {
+  overlay::testing::WorldOptions options;
+  options.clients = clients;
+  options.broker_config.reputation.enabled = true;
+  options.broker_config.econ.enabled = true;
+  overlay::testing::OverlayWorld world(options);
+  world.broker->set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
+  world.boot(2.0);
+
+  std::size_t allocations = 0;
+  std::uint64_t picks = 0;
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = megabytes(4.0);
+  ctx.exclude.reserve(8);
+  const auto petition = [&](int i, bool counted) {
+    world.sim.run_until(world.sim.now() + 1.0);
+    ctx.now = world.sim.now();
+    // Constrained (econ admission) and plain (defended scan) petitions
+    // alternate; one exclude rides along.
+    ctx.deadline = i % 2 == 0 ? ctx.now + 600.0 : 0.0;
+    ctx.budget = i % 2 == 0 ? 50.0 : 0.0;
+    ctx.exclude.assign(1, PeerId(static_cast<std::uint64_t>(i % clients) + 2));
+    g_allocations = 0;
+    g_tracking = counted;
+    const auto selected = world.broker->select_peers(ctx, 1 + static_cast<std::size_t>(i % 3));
+    g_tracking = false;
+    allocations += g_allocations;
+    picks += selected.size();
+  };
+  for (int i = 0; i < 64; ++i) petition(i, false);
+  for (int i = 0; i < petitions; ++i) petition(i, true);
+  EXPECT_GT(picks, 0u);
+  return allocations;
+}
+
+TEST(AllocationGuard, DefendedEconSelectionAllocationsDoNotGrowWithRegistry) {
+  constexpr int kPetitions = 200;
+  const std::size_t small = defended_econ_selection_allocations(64, kPetitions);
+  const std::size_t large = defended_econ_selection_allocations(1024, kPetitions);
+  EXPECT_EQ(small, large);
+  // Only the answer vector itself: one allocation per petition.
+  EXPECT_LE(small, static_cast<std::size_t>(kPetitions));
 }
 
 }  // namespace
