@@ -628,9 +628,11 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
       add(ci_resp, t_resp_, !low);
     }
   };
+  // With work, cost_chain reads only price and cpu, and cost_cursors
+  // opened no rate or response cursor to read from.
   const auto cost_bound = [&]() {
     return cost_chain(f(ci_price), has_work ? f(ci_cpu) : 0.0,
-                      has_payload ? f(ci_rate) : 0.0, has_work ? 0.0 : f(ci_resp));
+                      has_payload && !has_work ? f(ci_rate) : 0.0, has_work ? 0.0 : f(ci_resp));
   };
 
   const std::size_t budget = pull_budget(n_el);
