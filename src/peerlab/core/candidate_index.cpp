@@ -1,6 +1,7 @@
 #include "peerlab/core/candidate_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -57,6 +58,12 @@ double offline_time(double last_seen, double thr) {
 /// Min-heap ordering for the lazy heaps.
 bool heap_cmp(double a, double b) { return a > b; }
 
+/// Bitwise key identity: an unchanged (key, peer) entry is the same
+/// tree entry, down to the sign of zero a frontier would report.
+bool same_key(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 }  // namespace
 
 CandidateIndex::CandidateIndex(Config config) : config_(config) {}
@@ -67,9 +74,10 @@ void CandidateIndex::set_history(const stats::HistoryStore* history) {
 }
 
 void CandidateIndex::bind_model(SelectionModel* model) {
-  for (Slot& slot : slots_) {
-    if (slot.in_trees) remove_from_trees(slot);
-  }
+  // The next flush re-keys every slot anyway, so drop the trees whole
+  // rather than erasing slot by slot.
+  drop_trees();
+  backoff_ = {};
   model_ = model;
   blind_ = dynamic_cast<BlindModel*>(model);
   economic_ = dynamic_cast<EconomicSchedulingModel*>(model);
@@ -158,16 +166,8 @@ void CandidateIndex::clear() {
   slot_of_.clear();
   dirty_.clear();
   all_dirty_ = false;
-  ids_.clear();
-  t_static_.clear();
-  t_eval_.clear();
-  t_base_.clear();
-  t_speed_.clear();
-  t_rate_.clear();
-  t_resp_.clear();
-  t_price_.clear();
-  t_cpu_.clear();
-  online_idle_ = 0;
+  drop_trees();
+  backoff_ = {};
   live_heap_.clear();
   expiry_heap_.clear();
 }
@@ -254,10 +254,37 @@ void CandidateIndex::refresh_slot(std::uint32_t slot_index, const SelectionConte
                                   Seconds sim_now) {
   Slot& slot = slots_[slot_index];
   slot.dirty = false;
-  if (slot.in_trees) remove_from_trees(slot);
-  if (!slot_online(slot, sim_now)) return;
-  compute_keys(slot, slot_index, context);
-  insert_into_trees(slot);
+  if (!slot_online(slot, sim_now)) {
+    if (slot.in_trees) remove_from_trees(slot);
+    return;
+  }
+  if (!slot.in_trees) {
+    compute_keys(slot, slot_index, context);
+    insert_into_trees(slot);
+  } else {
+    // Re-file only what moved: a treap's shape is a function of its
+    // contents, so leaving an unchanged entry in place yields the very
+    // tree an erase + re-insert would.
+    const auto filed = filings();
+    std::array<double, kMaxFilings> before{};
+    for (std::size_t i = 0; i < filed.size(); ++i) before[i] = slot.*filed[i].key;
+    compute_keys(slot, slot_index, context);
+    for (std::size_t i = 0; i < filed.size(); ++i) {
+      const double after = slot.*filed[i].key;
+      if (same_key(before[i], after)) continue;
+      RankedTree& tree = this->*filed[i].tree;
+      tree.erase(before[i], slot.snap.peer);
+      tree.insert(after, slot.snap.peer);
+    }
+    if (slot.snap.idle != slot.indexed_idle) {
+      slot.indexed_idle = slot.snap.idle;
+      if (slot.indexed_idle) {
+        ++online_idle_;
+      } else {
+        --online_idle_;
+      }
+    }
+  }
   ++rekeys_;
   if (m_.rekeys != nullptr) m_.rekeys->add(1);
 }
@@ -307,30 +334,36 @@ void CandidateIndex::compute_keys(Slot& slot, std::uint32_t slot_index,
   }
 }
 
+std::span<const CandidateIndex::Filing> CandidateIndex::filings() const {
+  using C = CandidateIndex;
+  static constexpr Filing kPreference[] = {{&C::t_static_, &Slot::key_static}};
+  static constexpr Filing kEvaluator[] = {{&C::t_eval_, &Slot::key_eval}};
+  // Hybrid files everything economic files, plus the evaluator cost.
+  static constexpr Filing kHybrid[] = {
+      {&C::t_eval_, &Slot::key_eval},   {&C::t_base_, &Slot::key_base},
+      {&C::t_speed_, &Slot::key_speed}, {&C::t_rate_, &Slot::key_rate},
+      {&C::t_resp_, &Slot::key_resp},   {&C::t_price_, &Slot::key_price},
+      {&C::t_cpu_, &Slot::key_cpu},
+  };
+  static_assert(std::size(kHybrid) == kMaxFilings);
+  switch (kind_) {
+    case ModelKind::kUserPreference:
+      return kPreference;
+    case ModelKind::kEvaluator:
+      return kEvaluator;
+    case ModelKind::kHybrid:
+      return kHybrid;
+    case ModelKind::kEconomic:
+      return std::span<const Filing>(kHybrid).subspan(1);
+    default:
+      return {};
+  }
+}
+
 void CandidateIndex::insert_into_trees(Slot& slot) {
   const PeerId peer = slot.snap.peer;
   ids_.insert(0.0, peer);
-  switch (kind_) {
-    case ModelKind::kUserPreference:
-      t_static_.insert(slot.key_static, peer);
-      break;
-    case ModelKind::kEvaluator:
-      t_eval_.insert(slot.key_eval, peer);
-      break;
-    case ModelKind::kHybrid:
-      t_eval_.insert(slot.key_eval, peer);
-      [[fallthrough]];
-    case ModelKind::kEconomic:
-      t_base_.insert(slot.key_base, peer);
-      t_speed_.insert(slot.key_speed, peer);
-      t_rate_.insert(slot.key_rate, peer);
-      t_resp_.insert(slot.key_resp, peer);
-      t_price_.insert(slot.key_price, peer);
-      t_cpu_.insert(slot.key_cpu, peer);
-      break;
-    default:
-      break;
-  }
+  for (const Filing& filing : filings()) (this->*filing.tree).insert(slot.*filing.key, peer);
   slot.in_trees = true;
   slot.indexed_idle = slot.snap.idle;
   slot.snap.online = true;
@@ -340,30 +373,22 @@ void CandidateIndex::insert_into_trees(Slot& slot) {
 void CandidateIndex::remove_from_trees(Slot& slot) {
   const PeerId peer = slot.snap.peer;
   ids_.erase(0.0, peer);
-  switch (kind_) {
-    case ModelKind::kUserPreference:
-      t_static_.erase(slot.key_static, peer);
-      break;
-    case ModelKind::kEvaluator:
-      t_eval_.erase(slot.key_eval, peer);
-      break;
-    case ModelKind::kHybrid:
-      t_eval_.erase(slot.key_eval, peer);
-      [[fallthrough]];
-    case ModelKind::kEconomic:
-      t_base_.erase(slot.key_base, peer);
-      t_speed_.erase(slot.key_speed, peer);
-      t_rate_.erase(slot.key_rate, peer);
-      t_resp_.erase(slot.key_resp, peer);
-      t_price_.erase(slot.key_price, peer);
-      t_cpu_.erase(slot.key_cpu, peer);
-      break;
-    default:
-      break;
-  }
+  for (const Filing& filing : filings()) (this->*filing.tree).erase(slot.*filing.key, peer);
   slot.in_trees = false;
   if (slot.indexed_idle) --online_idle_;
   slot.indexed_idle = false;
+}
+
+void CandidateIndex::drop_trees() {
+  for (RankedTree* tree : {&ids_, &t_static_, &t_eval_, &t_base_, &t_speed_, &t_rate_,
+                           &t_resp_, &t_price_, &t_cpu_}) {
+    tree->clear();
+  }
+  online_idle_ = 0;
+  for (Slot& slot : slots_) {
+    slot.in_trees = false;
+    slot.indexed_idle = false;
+  }
 }
 
 // ---- threshold-walk plumbing ------------------------------------------
@@ -636,11 +661,16 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
   };
 
   const std::size_t budget = pull_budget(n_el);
-  bool blown = false;
+  // A backed-off select starts out blown: straight to the dense sweep.
+  Backoff& backoff = backoff_for(context);
+  const bool probe = backoff.probe();
+  bool blown = !probe;
   double tlo = kInf, thi = -kInf, clo = kInf, chi = -kInf;
-  time_cursors(true);
-  tlo = extremum(cursors_, /*want_max=*/false, idle_gate, completion_of, time_bound, budget,
-                 blown);
+  if (!blown) {
+    time_cursors(true);
+    tlo = extremum(cursors_, /*want_max=*/false, idle_gate, completion_of, time_bound, budget,
+                   blown);
+  }
   if (!blown) {
     time_cursors(false);
     thi = extremum(cursors_, /*want_max=*/true, idle_gate, completion_of, time_bound, budget,
@@ -700,12 +730,12 @@ void CandidateIndex::select_economic(const SelectionContext& context, std::size_
     utility -= 1e-9 * f(ci_cpu);
     return utility;
   };
-  bool rank_blown = false;
-  if (blown) {
-    rank_blown = true;  // extrema already proved the distribution degenerate
-  } else {
+  // Blown extrema already proved the distribution degenerate.
+  bool rank_blown = blown;
+  if (!rank_blown) {
     top_k(cursors_, n_needed, idle_gate, utility_of, utility_bound, budget, rank_blown);
   }
+  if (probe) backoff.settle(rank_blown);
   if (rank_blown) dense_top_k(n_needed, idle_gate, utility_of);
   emit_scored(n_needed, out);
 }
@@ -770,10 +800,15 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
   };
 
   const std::size_t budget = pull_budget(n_el);
-  bool blown = false;
+  Backoff& backoff = backoff_for(context);
+  const bool probe = backoff.probe();
+  bool blown = !probe;
   double elo = kInf, ehi = -kInf;
-  e_cursors(true);
-  elo = extremum(cursors_, /*want_max=*/false, /*idle_gate=*/false, e_of, e_bound, budget, blown);
+  if (!blown) {
+    e_cursors(true);
+    elo = extremum(cursors_, /*want_max=*/false, /*idle_gate=*/false, e_of, e_bound, budget,
+                   blown);
+  }
   if (!blown) {
     e_cursors(false);
     ehi = extremum(cursors_, /*want_max=*/true, /*idle_gate=*/false, e_of, e_bound, budget,
@@ -834,12 +869,11 @@ void CandidateIndex::select_hybrid(const SelectionContext& context, std::size_t 
     const double vn = vhi > vlo ? (v - vlo) / (vhi - vlo) : 0.0;
     return alpha * en + (1.0 - alpha) * vn;
   };
-  bool rank_blown = false;
-  if (blown) {
-    rank_blown = true;
-  } else {
+  bool rank_blown = blown;
+  if (!rank_blown) {
     top_k(cursors_, n_needed, /*idle_gate=*/false, score_of, score_bound, budget, rank_blown);
   }
+  if (probe) backoff.settle(rank_blown);
   if (rank_blown) dense_top_k(n_needed, /*idle_gate=*/false, score_of);
   emit_scored(n_needed, out);
 }

@@ -40,7 +40,9 @@
 // Time must be non-decreasing across try_select() calls (simulated
 // time is), because windowed statistics evict destructively on read.
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,7 +79,8 @@ class CandidateIndex {
 
   /// Binds the model whose ranking the index mirrors. Recognizes the
   /// five concrete models; anything else leaves the index in
-  /// fallback-only mode. Re-keys lazily on the next try_select().
+  /// fallback-only mode. Drops the trees and the walk backoff; re-keys
+  /// lazily on the next try_select().
   void bind_model(SelectionModel* model);
 
   /// The history store feeding the economic estimators (the broker's;
@@ -100,7 +103,8 @@ class CandidateIndex {
   void mark_dirty(PeerId peer);
   void mark_all_dirty();
 
-  /// Drops every peer (adopt_state rebuilds from the new registry).
+  /// Drops every peer and the walk backoff (adopt_state rebuilds from
+  /// the new registry).
   void clear();
 
   /// Fast-path selection: fills `out` with exactly what the bound
@@ -160,6 +164,36 @@ class CandidateIndex {
     std::uint32_t stamp = 0;
   };
 
+  /// A tree a bound model files each online slot in, with the cached
+  /// key it files under (`ids_` is implicit: every kind files there).
+  struct Filing {
+    RankedTree CandidateIndex::*tree;
+    double Slot::*key;
+  };
+  /// Hybrid's filings: the evaluator tree plus the six economic ones.
+  static constexpr std::size_t kMaxFilings = 7;
+
+  /// Walk backoff for one walk shape (DESIGN.md §15): after a probe's
+  /// walk blows its pull budget, the next `skip` selects of that shape
+  /// go straight to the dense sweep. The probe period doubles with
+  /// each consecutive blown probe and drops back to 1 when one
+  /// converges, so probes land on selects 1, 3, 7, 15, … of a shape
+  /// whose walks always blow.
+  struct Backoff {
+    std::uint64_t period = 1;
+    std::uint64_t skip = 0;
+    /// True when this select walks; false when it is backed off.
+    bool probe() {
+      if (skip == 0) return true;
+      --skip;
+      return false;
+    }
+    void settle(bool blown) {
+      period = blown ? 2 * period : 1;
+      skip = period - 1;
+    }
+  };
+
   struct Scored {
     std::uint32_t slot = 0;
     double value = 0.0;
@@ -205,8 +239,16 @@ class CandidateIndex {
   void flush_dirty(const SelectionContext& context, Seconds sim_now);
   void refresh_slot(std::uint32_t slot_index, const SelectionContext& context, Seconds sim_now);
   void compute_keys(Slot& slot, std::uint32_t slot_index, const SelectionContext& context);
+  /// The trees the bound model files slots in, besides `ids_`.
+  [[nodiscard]] std::span<const Filing> filings() const;
   void insert_into_trees(Slot& slot);
   void remove_from_trees(Slot& slot);
+  /// Clears every tree at once and marks every slot unfiled.
+  void drop_trees();
+  /// The backoff of the walk shape a petition's bounds read.
+  [[nodiscard]] Backoff& backoff_for(const SelectionContext& context) {
+    return backoff_[(context.work > 0.0 ? 1U : 0U) | (context.payload_size > 0 ? 2U : 0U)];
+  }
   void push_live(std::uint32_t slot_index, double key);
   void push_expiry(std::uint32_t slot_index, double key);
 
@@ -235,9 +277,9 @@ class CandidateIndex {
   template <typename ValueOf, typename BoundOf>
   void top_k(std::vector<Cursor>& cursors, std::size_t k, bool idle_gate, ValueOf value_of,
              BoundOf bound_of, std::size_t budget, bool& blown);
-  /// Budget-blown completion: evaluates every eligible indexed peer in
-  /// slot order (no cursors, no bounds) into a k-capped heap. O(n)
-  /// with a small constant — chains over flush-cached keys, no
+  /// Blown or backed-off completion: evaluates every eligible indexed
+  /// peer in slot order (no cursors, no bounds) into a k-capped heap.
+  /// O(n) with a small constant — chains over flush-cached keys, no
   /// estimator or snapshot work — and exact by exhaustion.
   template <typename ValueOf>
   void dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of);
@@ -281,6 +323,10 @@ class CandidateIndex {
   RankedTree t_price_{8};    // advertised price
   RankedTree t_cpu_{9};      // advertised cpu
   std::size_t online_idle_ = 0;
+
+  /// One backoff per walk shape: bit 0 = petition carries work, bit 1
+  /// = it carries payload.
+  std::array<Backoff, 4> backoff_{};
 
   std::vector<HeapEntry> live_heap_;
   std::vector<HeapEntry> expiry_heap_;

@@ -48,37 +48,32 @@ void HistoryStore::record_task(const TaskRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "task record needs a peer");
   PEERLAB_CHECK_MSG(record.finished >= record.started && record.started >= record.submitted,
                     "task record times out of order");
-  auto& records = touch(record.peer).tasks;
-  records.push_back(record);
-  bound(records);
+  append(touch(record.peer).tasks, record);
   notify(record.peer);
 }
 
 void HistoryStore::record_transfer(const TransferRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "transfer record needs a peer");
-  auto& records = touch(record.peer).transfers;
-  records.push_back(record);
-  bound(records);
+  append(touch(record.peer).transfers, record);
   notify(record.peer);
 }
 
 void HistoryStore::record_response_time(PeerId peer, Seconds elapsed) {
   PEERLAB_CHECK_MSG(peer.valid() && elapsed >= 0.0, "bad response-time record");
-  auto& records = touch(peer).responses;
-  records.push_back(elapsed);
-  bound(records);
+  append(touch(peer).responses, elapsed);
   notify(peer);
 }
 
 namespace {
 /// Averages f over the last `last_n` entries of `records` that satisfy
-/// `use`; nullopt when none qualify.
+/// `use`; nullopt when none qualify (or the kind was never recorded).
 template <typename T, typename Use, typename Extract>
-std::optional<double> tail_mean(const std::deque<T>& records, std::size_t last_n, Use use,
-                                Extract extract) {
+std::optional<double> tail_mean(const std::optional<std::deque<T>>& records, std::size_t last_n,
+                                Use use, Extract extract) {
+  if (!records) return std::nullopt;
   double sum = 0.0;
   std::size_t n = 0;
-  for (auto it = records.rbegin(); it != records.rend() && n < last_n; ++it) {
+  for (auto it = records->rbegin(); it != records->rend() && n < last_n; ++it) {
     if (!use(*it)) continue;
     sum += extract(*it);
     ++n;
@@ -134,27 +129,28 @@ std::optional<Seconds> HistoryStore::mean_response_time(PeerId peer, std::size_t
 
 double HistoryStore::task_success_rate(PeerId peer) const {
   const PeerHistory* history = find(peer);
-  if (history == nullptr || history->tasks.empty()) return 1.0;
-  const auto ok = std::count_if(history->tasks.begin(), history->tasks.end(),
-                                [](const TaskRecord& r) { return r.ok; });
-  return static_cast<double>(ok) / static_cast<double>(history->tasks.size());
+  if (history == nullptr || !history->tasks) return 1.0;
+  const auto& tasks = *history->tasks;
+  const auto ok =
+      std::count_if(tasks.begin(), tasks.end(), [](const TaskRecord& r) { return r.ok; });
+  return static_cast<double>(ok) / static_cast<double>(tasks.size());
 }
 
 std::vector<TaskRecord> HistoryStore::tasks_for(PeerId peer) const {
   const PeerHistory* history = find(peer);
-  if (history == nullptr) return {};
-  return {history->tasks.begin(), history->tasks.end()};
+  if (history == nullptr || !history->tasks) return {};
+  return {history->tasks->begin(), history->tasks->end()};
 }
 
 std::vector<TransferRecord> HistoryStore::transfers_for(PeerId peer) const {
   const PeerHistory* history = find(peer);
-  if (history == nullptr) return {};
-  return {history->transfers.begin(), history->transfers.end()};
+  if (history == nullptr || !history->transfers) return {};
+  return {history->transfers->begin(), history->transfers->end()};
 }
 
 std::size_t HistoryStore::task_count(PeerId peer) const {
   const PeerHistory* history = find(peer);
-  return history == nullptr ? 0 : history->tasks.size();
+  return history == nullptr || !history->tasks ? 0 : history->tasks->size();
 }
 
 std::vector<PeerId> HistoryStore::known_peers() const {

@@ -112,17 +112,26 @@ class HistoryStore {
     std::optional<double> value;
   };
 
+  /// One record kind's FIFO, allocated on its first record: even an
+  /// empty std::deque allocates, and a peer may only ever be seen in
+  /// one or two of the three kinds.
+  template <typename T>
+  using Records = std::optional<std::deque<T>>;
+
   /// Everything kept about one peer.
   struct PeerHistory {
-    std::deque<TaskRecord> tasks;
-    std::deque<TransferRecord> transfers;
-    std::deque<Seconds> responses;
+    Records<TaskRecord> tasks;
+    Records<TransferRecord> transfers;
+    Records<Seconds> responses;
     mutable std::array<Memo, kEstimators> memo{};
   };
 
+  /// Appends `value`, evicting the oldest records past the capacity.
   template <typename T>
-  void bound(std::deque<T>& records) {
-    while (records.size() > capacity_) records.pop_front();
+  void append(Records<T>& records, const T& value) {
+    if (!records) records.emplace();
+    records->push_back(value);
+    while (records->size() > capacity_) records->pop_front();
   }
 
   /// The peer's record, created on first touch, with its memo cleared.

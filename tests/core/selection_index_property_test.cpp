@@ -10,9 +10,18 @@
 // ranking of a broker-style snapshot mirror, element for element. 200
 // scenarios per model × 5 models = 1000 scenarios, seeds derived from
 // testing::test_seed() (export PEERLAB_TEST_SEED to replay a failure).
+//
+// The heartbeat-round suites drive a broker's steady state instead: a
+// registry of a few hundred peers where, between petitions, most peers
+// re-heartbeat with nothing changed, a few move one key, quiet peers
+// fall past the liveness horizon, and the whole registry now and then
+// flips between rank-correlated keys (threshold walks converge) and
+// tied ones (walks blow their budget and back off).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
@@ -84,7 +93,10 @@ class Harness {
 
   void mutate_stats(std::mt19937_64& rng) {
     if (peers_.empty()) return;
-    const PeerId peer = pick_existing(rng);
+    mutate_stats(pick_existing(rng), rng);
+  }
+
+  void mutate_stats(PeerId peer, std::mt19937_64& rng) {
     stats::PeerStatistics& s = stats_for(peer);
     switch (rng() % 7) {
       case 0:
@@ -113,7 +125,10 @@ class Harness {
 
   void mutate_history(std::mt19937_64& rng) {
     if (peers_.empty()) return;
-    const PeerId peer = pick_existing(rng);
+    mutate_history(pick_existing(rng), rng);
+  }
+
+  void mutate_history(PeerId peer, std::mt19937_64& rng) {
     switch (rng() % 3) {
       case 0:
         history_.record_response_time(peer, 0.01 + 0.01 * static_cast<double>(rng() % 100));
@@ -185,17 +200,83 @@ class Harness {
     return out;
   }
 
-  [[nodiscard]] SelectionContext make_context(std::mt19937_64& rng, bool allow_excludes) {
+  [[nodiscard]] SelectionContext make_context(std::mt19937_64& rng, bool allow_excludes,
+                                              std::size_t max_excludes = SIZE_MAX) {
     SelectionContext ctx;
     ctx.now = now_;
     if (rng() % 2 == 0) ctx.work = 0.5 * static_cast<double>(rng() % 40);
     if (rng() % 2 == 0) ctx.payload_size = static_cast<Bytes>(rng() % 8192) * 1024;
     if (allow_excludes && !peers_.empty() && rng() % 3 == 0) {
-      const std::size_t n = rng() % (peers_.size() + 1);
+      const std::size_t n = rng() % (std::min(peers_.size(), max_excludes) + 1);
       for (std::size_t i = 0; i < n; ++i) ctx.exclude.push_back(pick_existing(rng));
     }
     return ctx;
   }
+
+  // ---- heartbeat rounds ----
+
+  /// Registers (or re-registers) peers 1..n with an empty backlog.
+  /// Correlated: CPU rises and price falls strictly with a shuffled
+  /// latent quality, so every criterion tree shares one rank order.
+  /// Tied: every peer advertises the same CPU and price. Either way the
+  /// fleet is all idle, all busy (so one idle flip decides whether an
+  /// idle-preferring model gates at all) or mixed.
+  void set_regime(std::size_t n, bool correlated, std::mt19937_64& rng) {
+    std::vector<std::size_t> quality(n);
+    for (std::size_t i = 0; i < n; ++i) quality[i] = i;
+    std::shuffle(quality.begin(), quality.end(), rng);
+    const std::uint64_t idle_mix = rng() % 4;  // 0, 1: all idle; 2: all busy; 3: mixed
+    for (std::size_t i = 0; i < n; ++i) {
+      const PeerId peer(i + 1);
+      FuzzPeer& p = peers_[peer];
+      p.peer = peer;
+      p.node = NodeId(peer.value() + 1);
+      const double q = (static_cast<double>(quality[i]) + 0.5) / static_cast<double>(n);
+      p.cpu_ghz = correlated ? 0.5 + 3.5 * q : 2.0;
+      p.price = correlated ? 0.3 + 2.0 * (1.0 - q) : 1.0;
+      p.idle = idle_mix < 2 || (idle_mix == 3 && rng() % 2 == 0);
+      p.queued = 0;
+      p.transfers = 0;
+      reheartbeat(peer);
+    }
+  }
+
+  /// A heartbeat that changes nothing but the peer's liveness horizon.
+  void reheartbeat(PeerId peer) {
+    FuzzPeer& p = peers_.at(peer);
+    p.last_seen = now_;
+    index_.upsert_peer(p.peer, p.node, p.cpu_ghz, p.price, find_stats(peer), p.last_seen,
+                       p.idle, p.queued, p.transfers);
+  }
+
+  /// Moves one key of one peer: a history sample (rate, response time
+  /// or speed), its ready time through idle, backlog or transfers, or
+  /// its evaluator cost through a statistics delta.
+  void move_one_key(std::mt19937_64& rng) {
+    const PeerId peer = pick_existing(rng);
+    FuzzPeer& p = peers_.at(peer);
+    switch (rng() % 4) {
+      case 0:
+        mutate_history(peer, rng);
+        return;
+      case 1:
+        mutate_stats(peer, rng);
+        return;
+      case 2:
+        p.idle = !p.idle;
+        break;
+      default:
+        if (rng() % 2 == 0) {
+          p.queued = (p.queued + 1 + static_cast<int>(rng() % 3)) % 4;
+        } else {
+          p.transfers = (p.transfers + 1) % 3;
+        }
+        break;
+    }
+    reheartbeat(peer);
+  }
+
+  void tick(Seconds dt) { now_ += dt; }
 
   CandidateIndex& index() { return index_; }
   [[nodiscard]] Seconds now() const { return now_; }
@@ -297,6 +378,68 @@ void run_scenarios(MakeModel make_model, MakeRef make_ref, bool allow_excludes) 
   }
 }
 
+constexpr int kHeartbeatScenariosPerModel = 24;
+
+/// Runs kHeartbeatScenariosPerModel heartbeat-round scenarios: each
+/// round re-heartbeats about an eighth of the registry unchanged, moves
+/// one to three keys, advances the clock (now and then past the
+/// liveness horizon), sometimes flips the registry's regime, then
+/// checks one to three petitions (with up to eight excludes where the
+/// model takes them) against the frozen reference. For the walking
+/// models (`walks`), the suite must see both converged walks and dense
+/// sweeps, or it would pin only one of the two regimes.
+template <typename MakeModel, typename MakeRef>
+void run_heartbeat_rounds(MakeModel make_model, MakeRef make_ref, bool allow_excludes,
+                          bool walks = false) {
+  const std::uint64_t base = testing::test_seed() ^ 0x68656172746265ull;
+  std::uint64_t petitions = 0;
+  std::uint64_t sweeps = 0;
+  for (int scenario = 0; scenario < kHeartbeatScenariosPerModel; ++scenario) {
+    const std::uint64_t seed = base + static_cast<std::uint64_t>(scenario) * 104729;
+    std::mt19937_64 rng(seed);
+    Harness harness;
+    std::mt19937_64 model_rng(seed ^ 0x5bf0363546174861ull);
+    std::mt19937_64 ref_rng(seed ^ 0x5bf0363546174861ull);
+    auto model = make_model(model_rng);
+    auto ref = make_ref(ref_rng);
+    harness.bind(model.get());
+    const std::size_t n = 96 + rng() % 160;
+    bool correlated = rng() % 2 == 0;
+    harness.set_regime(n, correlated, rng);
+    const int rounds = 30 + static_cast<int>(rng() % 20);
+    int petition = 0;
+    for (int round = 0; round < rounds; ++round) {
+      if (rng() % 10 == 0) {
+        correlated = !correlated;
+        harness.set_regime(n, correlated, rng);
+      }
+      for (std::size_t i = 0; i < n / 8; ++i) harness.reheartbeat(PeerId(rng() % n + 1));
+      const int moves = 1 + static_cast<int>(rng() % 3);
+      for (int m = 0; m < moves; ++m) harness.move_one_key(rng);
+      harness.tick(rng() % 20 == 0 ? 110.0 : 2.0 + static_cast<double>(rng() % 10));
+      const int selects = 1 + static_cast<int>(rng() % 3);
+      for (int s = 0; s < selects; ++s) {
+        const auto ctx = harness.make_context(rng, allow_excludes, /*max_excludes=*/8);
+        const std::size_t k = rng() % 5 + 1;
+        const auto snaps = harness.snapshots();
+        std::vector<PeerId> got;
+        ASSERT_TRUE(harness.index().try_select(ctx, harness.now(), k, got))
+            << "unexpected fallback, seed=" << seed << " scenario=" << scenario;
+        const auto want = peerlab::testing::ref_select_k(*ref, snaps, ctx, k);
+        ASSERT_EQ(got, want) << describe(seed, scenario, petition, got, want)
+                             << " (heartbeat rounds, round " << round << ")";
+        ++petition;
+      }
+    }
+    petitions += static_cast<std::uint64_t>(petition);
+    sweeps += harness.index().dense_sweeps();
+  }
+  if (walks) {
+    EXPECT_GT(sweeps, 0u) << "no tie-degenerate petition";
+    EXPECT_LT(sweeps, petitions) << "no converged walk";
+  }
+}
+
 TEST(SelectionIndexEquivalence, Blind) {
   run_scenarios(
       [](std::mt19937_64&) { return std::make_unique<BlindModel>(); },
@@ -373,6 +516,72 @@ TEST(SelectionIndexEquivalence, Hybrid) {
         return std::make_unique<peerlab::testing::ReferenceHybrid>(cfg);
       },
       /*allow_excludes=*/true);
+}
+
+TEST(SelectionIndexHeartbeatRounds, Blind) {
+  run_heartbeat_rounds(
+      [](std::mt19937_64&) { return std::make_unique<BlindModel>(); },
+      [](std::mt19937_64&) { return std::make_unique<peerlab::testing::ReferenceBlind>(); },
+      /*allow_excludes=*/false);
+}
+
+TEST(SelectionIndexHeartbeatRounds, Economic) {
+  run_heartbeat_rounds(
+      [](std::mt19937_64& rng) {
+        EconomicConfig cfg;
+        cfg.prefer_idle = (rng() % 2) == 0;
+        return std::make_unique<EconomicSchedulingModel>(cfg);
+      },
+      [](std::mt19937_64& rng) {
+        EconomicConfig cfg;
+        cfg.prefer_idle = (rng() % 2) == 0;
+        return std::make_unique<peerlab::testing::ReferenceEconomic>(cfg);
+      },
+      /*allow_excludes=*/true, /*walks=*/true);
+}
+
+TEST(SelectionIndexHeartbeatRounds, DataEvaluator) {
+  run_heartbeat_rounds(
+      [](std::mt19937_64&) {
+        return std::make_unique<DataEvaluatorModel>(DataEvaluatorModel::same_priority());
+      },
+      [](std::mt19937_64&) {
+        return std::make_unique<peerlab::testing::ReferenceEvaluator>(
+            peerlab::testing::ReferenceEvaluator::same_priority());
+      },
+      /*allow_excludes=*/true);
+}
+
+TEST(SelectionIndexHeartbeatRounds, UserPreference) {
+  const auto draw_order = [](std::mt19937_64& rng) {
+    std::vector<PeerId> order;
+    const std::size_t n = rng() % 64;
+    for (std::size_t i = 0; i < n; ++i) order.push_back(PeerId(rng() % 256 + 1));
+    return order;
+  };
+  run_heartbeat_rounds(
+      [&](std::mt19937_64& rng) {
+        return std::make_unique<UserPreferenceModel>(draw_order(rng));
+      },
+      [&](std::mt19937_64& rng) {
+        return std::make_unique<peerlab::testing::ReferenceUserPreference>(draw_order(rng));
+      },
+      /*allow_excludes=*/true);
+}
+
+TEST(SelectionIndexHeartbeatRounds, Hybrid) {
+  run_heartbeat_rounds(
+      [](std::mt19937_64& rng) {
+        HybridConfig cfg;
+        cfg.alpha = 0.1 * static_cast<double>(rng() % 11);
+        return std::make_unique<HybridModel>(cfg);
+      },
+      [](std::mt19937_64& rng) {
+        HybridConfig cfg;
+        cfg.alpha = 0.1 * static_cast<double>(rng() % 11);
+        return std::make_unique<peerlab::testing::ReferenceHybrid>(cfg);
+      },
+      /*allow_excludes=*/true, /*walks=*/true);
 }
 
 }  // namespace

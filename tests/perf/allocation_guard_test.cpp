@@ -15,13 +15,15 @@
 //
 // The broker's scan path makes a weaker, size-independent promise: a
 // defended, econ-enabled petition allocates only its answer, so the
-// count must not grow with the registry.
+// count must not grow with the registry. The broker's history store
+// allocates per peer only the record kinds that peer has been seen in.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <string>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "peerlab/net/flow_scheduler.hpp"
 #include "peerlab/net/topology.hpp"
 #include "peerlab/sim/simulator.hpp"
+#include "peerlab/stats/history.hpp"
 #include "overlay/overlay_world.hpp"
 
 namespace {
@@ -355,6 +358,64 @@ TEST(AllocationGuard, DefendedEconSelectionAllocationsDoNotGrowWithRegistry) {
   EXPECT_EQ(small, large);
   // Only the answer vector itself: one allocation per petition.
   EXPECT_LE(small, static_cast<std::size_t>(kPetitions));
+}
+
+TEST(AllocationGuard, HistoryAllocatesOnlyTheRecordKindsAPeerUses) {
+  // What one record kind's storage costs: a FIFO holding one record.
+  std::size_t fifo_cost = 0;
+  {
+    AllocationGuard guard;
+    std::deque<Seconds> fifo;
+    fifo.push_back(0.25);
+    fifo_cost = guard.count();
+  }
+  ASSERT_GT(fifo_cost, 0u);
+
+  stats::HistoryStore history(16);
+  history.record_response_time(PeerId(1), 0.5);  // sizes the peer map's buckets
+  std::size_t first_response = 0;
+  {
+    AllocationGuard guard;
+    history.record_response_time(PeerId(2), 0.5);
+    first_response = guard.count();
+  }
+  // The peer's record node plus its response FIFO: no task or transfer
+  // storage for a peer seen only through petition round trips.
+  EXPECT_EQ(first_response, 1 + fifo_cost);
+  std::size_t steady = 0;
+  bool unrecorded_kinds_empty = false;
+  {
+    AllocationGuard guard;
+    for (int i = 0; i < 8; ++i) history.record_response_time(PeerId(2), 0.25 * i);
+    unrecorded_kinds_empty = !history.mean_transfer_rate(PeerId(2)).has_value() &&
+                             !history.mean_effective_speed(PeerId(2)).has_value() &&
+                             history.task_count(PeerId(2)) == 0;
+    steady = guard.count();
+  }
+  EXPECT_EQ(steady, 0u) << "more responses, or reading unrecorded kinds, allocated";
+  EXPECT_TRUE(unrecorded_kinds_empty);
+  // The first task record allocates the task FIFO then, and only it.
+  stats::TaskRecord task;
+  task.task = TaskId(1);
+  task.peer = PeerId(2);
+  task.finished = 1.0;
+  task.ok = true;
+  task.work = 1.0;
+  std::size_t first_task = 0;
+  {
+    AllocationGuard guard;
+    history.record_task(task);
+    first_task = guard.count();
+  }
+  std::size_t one_task_fifo = 0;
+  {
+    AllocationGuard guard;
+    std::deque<stats::TaskRecord> fifo;
+    fifo.push_back(task);
+    one_task_fifo = guard.count();
+  }
+  EXPECT_EQ(first_task, one_task_fifo);
+  EXPECT_EQ(history.task_count(PeerId(2)), 1u);
 }
 
 }  // namespace
