@@ -26,6 +26,35 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
+void BM_EventQueuePeriodicTimers(benchmark::State& state) {
+  // An overlay's steady state: n daemon heartbeat timers on a 30 s
+  // period, each pushed again when it fires, beside n/8 scheduled events
+  // 300 s to an hour out, each replaced when it fires. One iteration is
+  // one period's worth of pops and re-pushes.
+  const auto n = static_cast<int>(state.range(0));
+  sim::EventQueue queue;
+  bool timer = false;
+  const auto action = [&timer](bool is_timer) { return [&timer, is_timer] { timer = is_timer; }; };
+  for (int i = 0; i < n; ++i) queue.push(30.0 * i / n, action(true), /*daemon=*/true);
+  for (int i = 0; i < n / 8; ++i) queue.push(300.0 + 3300.0 * i / (n / 8), action(false));
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      auto fired = queue.pop();
+      fired.action();
+      if (timer) {
+        queue.push(fired.time + 30.0, std::move(fired.action), true);
+      } else {
+        queue.push(fired.time + 300.0 + static_cast<double>((++step * 7919) % 3300),
+                   std::move(fired.action));
+      }
+    }
+  }
+  benchmark::DoNotOptimize(queue.size());
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EventQueuePeriodicTimers)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 15);
+
 void BM_SimulatorEventChain(benchmark::State& state) {
   const auto hops = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -5,8 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "peerlab/core/economic.hpp"
 #include "peerlab/planetlab/deployment.hpp"
+#include "peerlab/planetlab/profiles.hpp"
 
 namespace {
 
@@ -64,6 +70,46 @@ void BM_TaskRoundTripThroughOverlay(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskRoundTripThroughOverlay)->Unit(benchmark::kMillisecond);
 
+/// A broker and `clients` idle clients copying the Table-1 profiles in
+/// turn (SC1..SC8 calibrated, the other slice nodes with the slice
+/// profile; hostnames suffixed, since Topology rejects duplicates),
+/// starting staggered over one heartbeat period.
+class HeartbeatWorld {
+ public:
+  HeartbeatWorld(sim::Simulator& sim, int clients) {
+    net::Topology topo(sim.rng().fork(1));
+    const NodeId broker_node = topo.add_node(planetlab::broker_profile());
+    const auto& table = planetlab::table1();
+    for (int i = 0; i < clients; ++i) {
+      const int ordinal = i % static_cast<int>(table.size());
+      const auto& entry = table[static_cast<std::size_t>(ordinal)];
+      auto profile = entry.simple_client_index > 0
+                         ? planetlab::simple_client_profile(entry.simple_client_index)
+                         : planetlab::slice_node_profile(entry, ordinal);
+      profile.hostname += "-" + std::to_string(i);
+      topo.add_node(std::move(profile));
+    }
+    network_.emplace(sim, std::move(topo));
+    fabric_.emplace(*network_);
+    broker_.emplace(*fabric_, broker_node, directories_);
+    const Seconds period = overlay::ClientConfig{}.heartbeat_interval;
+    for (int i = 0; i < clients; ++i) {
+      auto& client = clients_.emplace_back(std::make_unique<overlay::ClientPeer>(
+          *fabric_, NodeId(static_cast<std::uint64_t>(i) + 2), broker_node, directories_));
+      sim.schedule(period * i / clients, [peer = client.get()] { peer->start(); });
+    }
+  }
+
+  [[nodiscard]] std::size_t registered() const { return broker_->registered_clients().size(); }
+
+ private:
+  std::optional<net::Network> network_;
+  std::optional<transport::TransportFabric> fabric_;
+  overlay::OverlayDirectories directories_;
+  std::optional<overlay::BrokerPeer> broker_;
+  std::vector<std::unique_ptr<overlay::ClientPeer>> clients_;
+};
+
 void BM_SimulatedHourOfHeartbeats(benchmark::State& state) {
   // Pure liveness machinery: how cheap is one simulated hour of an
   // idle 8-peer deployment (heartbeats + stats reports only)?
@@ -79,6 +125,27 @@ void BM_SimulatedHourOfHeartbeats(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatedHourOfHeartbeats)->Unit(benchmark::kMillisecond);
+
+void BM_SimulatedHourOfHeartbeatsPopulation(benchmark::State& state) {
+  // The same hour at population scale: `range(0)` idle clients built
+  // from the Table-1 profiles (heartbeats, stats reports and advert
+  // republishes only).
+  const auto clients = static_cast<int>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim(1);
+    HeartbeatWorld world(sim, clients);
+    sim.run_until(3600.0);
+    benchmark::DoNotOptimize(world.registered());
+    events += sim.executed_events();
+  }
+  state.counters["sim_events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimulatedHourOfHeartbeatsPopulation)
+    ->Arg(1000)
+    ->Arg(3000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

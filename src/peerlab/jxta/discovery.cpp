@@ -82,27 +82,38 @@ DiscoveryService::DiscoveryService(transport::Endpoint& endpoint,
 DiscoveryService::~DiscoveryService() = default;
 
 void DiscoveryService::publish(Advertisement adv, Seconds lifetime) {
-  PEERLAB_CHECK_MSG(lifetime > 0.0, "advertisement lifetime must be positive");
   adv.publisher = self_;
-  adv.published_at = endpoint_.fabric().simulator().now();
-  adv.expires_at = adv.published_at + lifetime;
-  adv.id = local_ids_.next();
+  publish(std::make_shared<const Advertisement>(std::move(adv)), lifetime);
+}
 
-  // Replace any local edition of the same (kind, name).
-  const auto same = [&adv](const Advertisement& other) {
-    return other.kind == adv.kind && other.name == adv.name && other.publisher == adv.publisher;
-  };
-  local_.erase(std::remove_if(local_.begin(), local_.end(), same), local_.end());
-  local_.push_back(adv);
-
+void DiscoveryService::publish(std::shared_ptr<const Advertisement> adv, Seconds lifetime) {
+  PEERLAB_CHECK_MSG(lifetime > 0.0, "advertisement lifetime must be positive");
+  PEERLAB_CHECK_MSG(adv != nullptr && adv->publisher == self_,
+                    "a shared advertisement must name this peer as its publisher");
+  // A republish replaces the standing edition of the same (kind, name)
+  // and lands at the back of the cache, so lookups see editions in
+  // publish order.
+  const auto same = std::find_if(local_.begin(), local_.end(), [&](const Edition& e) {
+    return e.body->kind == adv->kind && e.body->name == adv->name;
+  });
+  if (same == local_.end()) {
+    local_.emplace_back();
+  } else {
+    std::rotate(same, same + 1, local_.end());
+  }
+  Edition& edition = local_.back();
+  edition.body = std::move(adv);
+  edition.id = local_ids_.next();
+  edition.published_at = endpoint_.fabric().simulator().now();
+  edition.expires_at = edition.published_at + lifetime;
   // Push to the rendezvous: the datagram delay models the publish
   // round; the index mutation happens at arrival time.
   endpoint_.fabric().network().send_datagram(
       endpoint_.node(), rendezvous_, transport::nominal_size(transport::MessageType::kStatsReport),
-      [this, adv] {
+      [this, body = edition.body, expires_at = edition.expires_at] {
         if (RendezvousIndex* index = directory_.find(rendezvous_)) {
-          if (!adv.expired(endpoint_.fabric().simulator().now())) {
-            index->publish(adv);
+          if (endpoint_.fabric().simulator().now() < expires_at) {
+            index->publish(*body, expires_at);
           }
         }
       });
@@ -112,8 +123,12 @@ std::vector<Advertisement> DiscoveryService::lookup_local(
     const AdvertisementQuery& query) const {
   const Seconds now = endpoint_.fabric().simulator().now();
   std::vector<Advertisement> out;
-  for (const auto& adv : local_) {
-    if (query.matches(adv, now)) out.push_back(adv);
+  for (const Edition& edition : local_) {
+    Advertisement adv = *edition.body;
+    adv.id = edition.id;
+    adv.published_at = edition.published_at;
+    adv.expires_at = edition.expires_at;
+    if (query.matches(adv, now)) out.push_back(std::move(adv));
   }
   return out;
 }
@@ -171,7 +186,7 @@ std::size_t DiscoveryService::sweep_local() {
   const Seconds now = endpoint_.fabric().simulator().now();
   const auto before = local_.size();
   local_.erase(std::remove_if(local_.begin(), local_.end(),
-                              [now](const Advertisement& a) { return a.expired(now); }),
+                              [now](const Edition& e) { return now >= e.expires_at; }),
                local_.end());
   return before - local_.size();
 }

@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -60,7 +61,14 @@ class DiscoveryService {
   /// Publishes locally and pushes to the rendezvous. The push is a
   /// datagram: it takes control-plane time and can be lost, in which
   /// case the periodic republish (the caller's business) heals it.
+  /// A republish under the same kind and name replaces the standing
+  /// edition.
   void publish(Advertisement adv, Seconds lifetime);
+  /// As above for an advertisement built once and republished
+  /// periodically (a peer's own advert): `adv` is shared with the local
+  /// edition and every push of it, never copied. Its publisher must be
+  /// this service's peer.
+  void publish(std::shared_ptr<const Advertisement> adv, Seconds lifetime);
 
   /// Local cache lookup (instant, possibly stale).
   [[nodiscard]] std::vector<Advertisement> lookup_local(const AdvertisementQuery& query) const;
@@ -105,12 +113,21 @@ class DiscoveryService {
                     const obs::trace::TraceContext& trace, QueryCallback done);
 
  private:
+  /// One local edition: the content, shared with in-flight pushes (its
+  /// own stamps are stale), plus this edition's stamps.
+  struct Edition {
+    std::shared_ptr<const Advertisement> body;
+    AdvertisementId id;
+    Seconds published_at = 0.0;
+    Seconds expires_at = 0.0;
+  };
+
   transport::Endpoint& endpoint_;
   RendezvousDirectory& directory_;
   PeerId self_;
   NodeId rendezvous_;
   transport::ReliableChannel query_channel_;
-  std::vector<Advertisement> local_;
+  std::vector<Edition> local_;
   IdAllocator<AdvertisementId> local_ids_;
 };
 

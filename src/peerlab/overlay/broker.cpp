@@ -58,25 +58,38 @@ BrokerPeer::~BrokerPeer() {
   endpoint_.clear_handler(transport::MessageType::kStatsReport);
 }
 
+BrokerPeer::Records& BrokerPeer::records_for(PeerId peer) {
+  const std::uint64_t i = peer.value();
+  PEERLAB_CHECK_MSG(i < kDenseIds, "peer id out of the broker's dense range: " + to_string(peer));
+  if (i >= dense_.size()) dense_.resize(i + 1);
+  return dense_[i];
+}
+
+void BrokerPeer::rebuild_records() {
+  dense_.clear();
+  for (auto& [peer, record] : clients_) records_for(peer).client = &record;
+  for (auto& [peer, s] : statistics_) records_for(peer).statistics = &s;
+}
+
 stats::PeerStatistics& BrokerPeer::statistics_for(PeerId peer) {
-  auto it = statistics_.find(peer);
-  if (it == statistics_.end()) {
-    it = statistics_.emplace(peer, stats::PeerStatistics(config_.stats_window)).first;
+  Records& slot = records_for(peer);
+  if (slot.statistics == nullptr) {
+    slot.statistics = &statistics_.try_emplace(peer, config_.stats_window).first->second;
   }
   // Every statistics mutation funnels through here; telling the index
   // keeps its cached evaluator keys coherent (O(1), re-key is lazy).
-  if (index_active_) index_.note_statistics(peer, &it->second);
-  return it->second;
+  if (index_active_) index_.note_statistics(peer, slot.statistics);
+  return *slot.statistics;
 }
 
 const stats::PeerStatistics* BrokerPeer::find_statistics(PeerId peer) const {
-  const auto it = statistics_.find(peer);
-  return it == statistics_.end() ? nullptr : &it->second;
+  const Records* slot = find_records(peer);
+  return slot != nullptr ? slot->statistics : nullptr;
 }
 
 const BrokerPeer::ClientRecord* BrokerPeer::client(PeerId peer) const {
-  const auto it = clients_.find(peer);
-  return it == clients_.end() ? nullptr : &it->second;
+  const Records* slot = find_records(peer);
+  return slot != nullptr ? slot->client : nullptr;
 }
 
 std::vector<PeerId> BrokerPeer::registered_clients() const {
@@ -319,6 +332,7 @@ void BrokerPeer::adopt_state(ReplicatedState state) {
   clients_ = std::move(state.clients);
   statistics_ = std::move(state.statistics);
   history_ = std::move(state.history);
+  rebuild_records();
   // HistoryStore assignment moves data only — this broker's mutation
   // observer stays installed — but every cached statistics pointer and
   // key is now stale: rebuild the index from the adopted registry.
@@ -344,15 +358,16 @@ void BrokerPeer::on_heartbeat(const transport::Message& m) {
   ++heartbeats_;
   if (m_.heartbeats != nullptr) m_.heartbeats->add(1);
   const PeerId peer(m.correlation);
-  auto [it, inserted] = clients_.try_emplace(peer);
-  ClientRecord& record = it->second;
-  if (inserted) {
-    record.peer = peer;
-    record.node = m.src;
-    record.first_seen = sim().now();
+  Records& slot = records_for(peer);
+  if (slot.client == nullptr) {
+    slot.client = &clients_.try_emplace(peer).first->second;
+    slot.client->peer = peer;
+    slot.client->node = m.src;
+    slot.client->first_seen = sim().now();
     PEERLAB_LOG(kInfo, "broker") << "registered " << to_string(peer) << " on "
                                  << to_string(m.src);
   }
+  ClientRecord& record = *slot.client;
   record.last_seen = sim().now();
   record.backlog = static_cast<int>(m.seq);
   record.pending_transfers = static_cast<int>(m.arg / 2);

@@ -81,7 +81,8 @@ class BrokerPeer {
     return endpoint_.fabric().network().topology();
   }
 
-  /// Statistics record for a peer (created on first touch).
+  /// Statistics record for a peer (created on first touch). Both
+  /// lookups, like client(), are one dense-table read.
   [[nodiscard]] stats::PeerStatistics& statistics_for(PeerId peer);
   [[nodiscard]] const stats::PeerStatistics* find_statistics(PeerId peer) const;
 
@@ -214,6 +215,24 @@ class BrokerPeer {
     obs::WallProfiler::Site* rank_site = nullptr;
   };
 
+  /// Pointers into the two ordered maps for one peer id (see dense_).
+  struct Records {
+    ClientRecord* client = nullptr;
+    stats::PeerStatistics* statistics = nullptr;
+  };
+  /// Bound on peer ids (peer ids are node ids, dense from 1), so a
+  /// corrupt id fails a check instead of growing the table.
+  static constexpr std::uint64_t kDenseIds = std::uint64_t{1} << 22;
+  /// The dense entry of `peer`, growing the table.
+  [[nodiscard]] Records& records_for(PeerId peer);
+  /// The dense entry of `peer` without growing; nullptr when the table
+  /// does not reach it.
+  [[nodiscard]] const Records* find_records(PeerId peer) const noexcept {
+    return peer.value() < dense_.size() ? &dense_[peer.value()] : nullptr;
+  }
+  /// Re-derives the dense table from the maps (adopted state).
+  void rebuild_records();
+
   void on_heartbeat(const transport::Message& m);
   void on_stats_report(const transport::Message& m);
   [[nodiscard]] bool online(const ClientRecord& record, Seconds now) const noexcept {
@@ -265,8 +284,13 @@ class BrokerPeer {
   obs::trace::TraceRecorder* trace_ = nullptr;
   std::uint64_t audit_clock_ = 0;
   DeltaObserver delta_observer_;
+  // The registry and the statistics, ordered by peer: fill_snapshots
+  // walks both in lockstep, and the candidate index caches statistics
+  // pointers, which map nodes keep stable. `dense_` (index = peer id)
+  // points into both, so the per-heartbeat handlers skip the tree walks.
   std::map<PeerId, ClientRecord> clients_;
   std::map<PeerId, stats::PeerStatistics> statistics_;
+  std::vector<Records> dense_;
   std::vector<NodeId> peer_brokers_;
   std::uint64_t federated_queries_ = 0;
   std::uint64_t heartbeats_ = 0;

@@ -150,16 +150,19 @@ void ClientPeer::set_misreport_profile(const MisreportProfile& profile) {
 }
 
 void ClientPeer::publish_advert() {
-  const auto& profile =
-      endpoint_.fabric().network().topology().node(node_).profile();
-  jxta::Advertisement adv;
-  adv.kind = jxta::AdvertisementKind::kPeer;
-  adv.name = profile.hostname;
-  adv.home = node_;
-  adv.attributes["cpu_ghz"] = std::to_string(profile.cpu_ghz);
-  adv.attributes["price"] = std::to_string(profile.price_per_cpu_second);
-  adv.attributes["role"] = to_string(config_.kind);
-  discovery_.publish(std::move(adv), config_.advert_lifetime);
+  if (advert_ == nullptr) {
+    const auto& profile = endpoint_.fabric().network().topology().node(node_).profile();
+    auto adv = std::make_shared<jxta::Advertisement>();
+    adv->kind = jxta::AdvertisementKind::kPeer;
+    adv->publisher = id();
+    adv->name = profile.hostname;
+    adv->home = node_;
+    adv->attributes["cpu_ghz"] = std::to_string(profile.cpu_ghz);
+    adv->attributes["price"] = std::to_string(profile.price_per_cpu_second);
+    adv->attributes["role"] = to_string(config_.kind);
+    advert_ = std::move(adv);
+  }
+  discovery_.publish(advert_, config_.advert_lifetime);
 }
 
 void ClientPeer::rehome(NodeId new_broker) {

@@ -153,6 +153,9 @@ class ClientPeer {
   Metrics m_;
   obs::trace::TraceRecorder* trace_ = nullptr;
   sim::EventHandle heartbeat_timer_;
+  /// The peer advertisement: built once from the node's fixed profile,
+  /// republished (shared, never copied) with every heartbeat.
+  std::shared_ptr<const jxta::Advertisement> advert_;
   bool started_ = false;
   MisreportProfile misreport_;
   /// True only while a non-honest profile is installed, so the honest

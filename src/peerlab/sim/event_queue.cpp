@@ -17,6 +17,12 @@ namespace {
 // stability requirement applies on this path.
 constexpr std::size_t kSortCutoff = 64;
 
+// A refill moves about 1/kBatchDivisor of the pending entries into the
+// window, and never fewer than kMinBatch: a merge costs O(pending), so
+// it is always followed by at least pending/kBatchDivisor pops.
+constexpr std::size_t kBatchDivisor = 8;
+constexpr std::size_t kMinBatch = 64;
+
 /// Time as orderable bits: for non-negative finite doubles the IEEE-754
 /// bit pattern is monotone in the value, so unsigned digit-wise radix
 /// order equals numeric order. push() canonicalises -0.0 to keep this
@@ -64,11 +70,12 @@ void EventQueue::rearm(EventHandle& handle, Seconds when) {
   detail::EventSlot& state = pool_->slots[slot];
   // Find the owning entry inside the sorted window by its exact key.
   // Keys are unique (the sequence word), so this either lands on the
-  // entry or proves it lives in `far_`.
+  // entry or proves it lives outside the window.
   const Entry old{state.armed_time, state.armed_packed};
-  const auto it = std::lower_bound(
-      bottom_.begin(), bottom_.end(), old,
-      [](const Entry& a, const Entry& b) { return earlier(b, a); });
+  const auto window = bottom_.begin() + static_cast<std::ptrdiff_t>(window_);
+  const auto it = std::lower_bound(window, bottom_.end(), old, [](const Entry& a, const Entry& b) {
+    return earlier(b, a);
+  });
   if (it != bottom_.end() && it->packed == old.packed) {
     PEERLAB_CHECK_MSG(next_seq_ < (std::uint64_t{1} << (64 - kSeqShift)),
                       "event sequence space exhausted");
@@ -83,9 +90,10 @@ void EventQueue::rearm(EventHandle& handle, Seconds when) {
     enqueue(entry);
     return;
   }
-  // Old entry sits in `far_` (unsorted, so not cheaply erasable):
-  // degrade to literal cancel+push, which re-slots the event and leaves
-  // the usual cancelled residue for refill() to compact away.
+  // Old entry sits beyond the window (erasing it would shift every
+  // nearer entry): degrade to literal cancel+push, which re-slots the
+  // event and leaves a cancelled residue, compacted away by refill() in
+  // `far_` and dropped on reaching the window in `bottom_`.
   const bool daemon = state.daemon;
   Action action = std::move(state.action);
   handle.cancel();  // nulls the (already moved-from) action, books the residue
@@ -93,21 +101,24 @@ void EventQueue::rearm(EventHandle& handle, Seconds when) {
 }
 
 void EventQueue::enqueue(const Entry& entry) {
-  if (entry.time < bottom_limit_) {
+  if (entry.time <= bottom_limit_) {
     // Inside the sorted window: ordered insert. Near-future events land
-    // near the back, so the shifted tail is short in the common case.
+    // near the back, and the window holds one refill batch, so the
+    // shifted tail is short.
+    const auto window = bottom_.begin() + static_cast<std::ptrdiff_t>(window_);
     const auto it = std::lower_bound(
-        bottom_.begin(), bottom_.end(), entry,
-        [](const Entry& a, const Entry& b) { return earlier(b, a); });
+        window, bottom_.end(), entry, [](const Entry& a, const Entry& b) { return earlier(b, a); });
     bottom_.insert(it, entry);
   } else if (bottom_.empty() && far_.empty()) {
     // Empty queue: seed the sorted window directly and raise the limit,
     // so a pop-one/push-one cadence (event chains, single timers) never
     // routes through refill at all.
     bottom_.push_back(entry);
+    window_ = 0;
     bottom_limit_ = entry.time;
   } else {
     far_.push_back(entry);
+    far_min_ = std::min(far_min_, entry.time);
   }
 }
 
@@ -141,7 +152,9 @@ void EventQueue::clear() noexcept {
   for (const Entry& entry : far_) release_slot(slot_of(entry));
   bottom_.clear();
   far_.clear();
+  window_ = 0;
   bottom_limit_ = 0.0;
+  far_min_ = kNever;
   pool_->live = 0;
   pool_->regular_live = 0;
   pool_->cancelled_scheduled = 0;
@@ -149,8 +162,8 @@ void EventQueue::clear() noexcept {
 
 void EventQueue::drop_dead() const {
   for (;;) {
-    while (bottom_.empty() && !far_.empty()) refill();
-    if (bottom_.empty() || pool_->cancelled_scheduled == 0) return;
+    while (window_ == bottom_.size() && !(bottom_.empty() && far_.empty())) refill();
+    if (window_ == bottom_.size() || pool_->cancelled_scheduled == 0) return;
     const std::uint32_t slot = slot_of(bottom_.back());
     if (!pool_->slots[slot].cancelled) return;
     --pool_->cancelled_scheduled;
@@ -160,44 +173,72 @@ void EventQueue::drop_dead() const {
 }
 
 void EventQueue::refill() const {
-  std::size_t n = far_.size();
   if (pool_->cancelled_scheduled != 0) {
-    // Compact cancelled entries away before sorting: recycles their
-    // slots now and keeps the sort sized to live work. The in-order
-    // compaction preserves `far_`'s push order.
+    // Compact cancelled entries out of `far_` before sorting: recycles
+    // their slots now and keeps the sort sized to live work. The
+    // in-order compaction preserves push order. Cancelled `bottom_`
+    // entries are dropped when the window reaches them.
     std::size_t live = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t slot = slot_of(far_[i]);
+    for (const Entry& entry : far_) {
+      const std::uint32_t slot = slot_of(entry);
       if (pool_->slots[slot].cancelled) {
         --pool_->cancelled_scheduled;
         release_slot(slot);
       } else {
-        far_[live++] = far_[i];
+        far_[live++] = entry;
       }
     }
     far_.resize(live);
-    n = live;
-    if (n == 0) return;
   }
-  if (n == 1) {
-    bottom_.push_back(far_[0]);
-    bottom_limit_ = far_[0].time;
-    far_.clear();
-    return;
+  if (far_.empty()) far_min_ = kNever;
+  // The window is empty, so all of `bottom_` is left from earlier
+  // refills.
+  const std::size_t pending = bottom_.size() + far_.size();
+  if (pending == 0) return;
+  const std::size_t want = std::max(kMinBatch, pending / kBatchDivisor);
+  // `far_` may wait while everything in it is later than the batch
+  // `bottom_` alone would yield; otherwise it joins `bottom_` first.
+  if (!far_.empty() && (bottom_.empty() || far_min_ <= bottom_[batch_start(want)].time)) {
+    merge_far();
   }
+  window_ = batch_start(want);
+  bottom_limit_ = bottom_[window_].time;
+}
+
+std::size_t EventQueue::batch_start(std::size_t want) const noexcept {
+  std::size_t start = want >= bottom_.size() ? 0 : bottom_.size() - want;
+  // Equal times never straddle the window boundary: the batch takes
+  // every entry of its latest instant.
+  while (start > 0 && bottom_[start - 1].time == bottom_[start].time) --start;
+  return start;
+}
+
+void EventQueue::merge_far() const {
+  const std::size_t n = far_.size();
   if (n <= kSortCutoff) {
     std::sort(far_.begin(), far_.end(),
               [](const Entry& a, const Entry& b) { return earlier(a, b); });
   } else {
     sort_far();
   }
-  // Reverse-copy the ascending order into descending storage so pop is
-  // pop_back(); the full reversal also reverses equal-time runs, which
-  // is exactly what puts their pop order back to FIFO.
-  bottom_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) bottom_[i] = far_[n - 1 - i];
-  bottom_limit_ = far_[n - 1].time;
+  // Merge from the late ends: `bottom_` is descending, sorted `far_`
+  // ascending. Keys are unique (the sequence word), so the merge is
+  // exact and a tie in time resolves FIFO.
+  const std::size_t m = bottom_.size();
+  sort_tmp_.resize(m + n);
+  Entry* out = sort_tmp_.data();
+  const Entry* kept = bottom_.data();
+  const Entry* fresh = far_.data();
+  std::size_t k = 0;
+  std::size_t f = n;
+  while (k < m && f > 0) {
+    *out++ = earlier(kept[k], fresh[f - 1]) ? fresh[--f] : kept[k++];
+  }
+  while (k < m) *out++ = kept[k++];
+  while (f > 0) *out++ = fresh[--f];
+  bottom_.swap(sort_tmp_);
   far_.clear();
+  far_min_ = kNever;
 }
 
 void EventQueue::sort_far() const {

@@ -10,16 +10,23 @@
 //
 // Performance layout (see DESIGN.md "Performance architecture"): event
 // state lives in a free-listed pool of slots with generation counters,
-// not in one shared_ptr control block per event. Ordering uses a
-// two-list lazy structure over 16-byte POD entries {time, seq|flags|slot}
-// instead of a heap: `bottom_` is sorted descending (pop = pop_back),
-// `far_` collects pushes beyond the sorted window in O(1), and when the
-// sorted window drains, `far_` is sorted wholesale — a stable LSD radix
-// sort on the time bits, which preserves FIFO order among equal times
-// because `far_` is already in push (sequence) order. Sorting touches
-// each entry O(1) times amortised and streams through memory, where a
-// heap pop takes a cache miss per level; the std::function is moved
-// exactly twice per event (into its slot at push, out at pop).
+// not in one shared_ptr control block per event. Ordering uses a lazy
+// structure over 16-byte POD entries {time, seq|flags|slot} instead of
+// a heap. `bottom_` is sorted descending (pop = pop_back); its back
+// part is the sorted window, the front part what the last refill left.
+// `far_` collects pushes later than the window in O(1), in push order.
+// When the window drains, a refill merges `far_` into `bottom_` — only
+// when some `far_` entry is due within the next batch, after a stable
+// LSD radix sort on the time bits that keeps ties in push (= sequence)
+// order — and then just moves the window boundary: the new window is
+// the earliest batch, about one eighth of everything pending, extended
+// over equal-time ties. A window of bounded size keeps the ordered
+// insert of a near-future push short and sends far-future re-arms
+// (heartbeat timers) to `far_` instead of shifting every nearer entry;
+// each merge costs O(pending) and is paid for by the batch of pops that
+// follows it, so sort and merge work stays O(1) amortised per event.
+// The std::function is moved exactly twice per event (into its slot at
+// push, out at pop).
 // Steady-state push/cancel/pop perform zero heap allocations: the only
 // allocations are pool/list growth to the high-water mark.
 //
@@ -32,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -221,6 +229,8 @@ class EventQueue {
   static_assert(sizeof(Entry) == 16, "four entries per cache line");
   static_assert(offsetof(Entry, time) == 0, "radix sort reads time at the entry base");
 
+  static constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+
   static constexpr std::uint64_t kSlotBits = 20;
   static constexpr std::uint64_t kDaemonBit = std::uint64_t{1} << kSlotBits;
   static constexpr std::uint64_t kSeqShift = kSlotBits + 1;
@@ -238,20 +248,27 @@ class EventQueue {
     return a.packed < b.packed;
   }
 
-  /// Routes a fresh entry into `bottom_` (ordered insert inside the
-  /// sorted window) or `far_` (push-ordered beyond it). Shared by
-  /// push() and rearm().
+  /// Routes a fresh entry into the sorted window (ordered insert) or
+  /// `far_` (push-ordered beyond it). Shared by push() and rearm().
   void enqueue(const Entry& entry);
-  /// Drains `far_` into `bottom_` in pop order (descending storage),
-  /// dropping cancelled entries on the way. May allocate only while the
-  /// scratch/list capacities are still below their high-water marks.
+  /// Opens the next window once the current one has drained: drops
+  /// cancelled `far_` entries, merges `far_` into `bottom_` when one of
+  /// them is due within the batch, then moves the window boundary over
+  /// the batch. May allocate only while the list capacities are still
+  /// below their high-water marks.
   void refill() const;
+  /// Index in `bottom_` where a refill's batch of about `want` entries
+  /// starts: the earliest `want`, extended backwards over every entry
+  /// that shares the batch's latest time.
+  [[nodiscard]] std::size_t batch_start(std::size_t want) const noexcept;
+  /// Sorts `far_` and merges it into `bottom_` (descending after).
+  void merge_far() const;
   /// Stable ascending sort of `far_` by time: LSD radix over the key
   /// bits, skipping digit positions all keys share. Stability preserves
   /// push order — and therefore FIFO sequence order — among ties.
   void sort_far() const;
-  /// Ensures bottom_.back() is the earliest live event: refills from
-  /// `far_` when the sorted window is empty and pops cancelled entries,
+  /// Ensures bottom_.back() is the earliest live event: refills when
+  /// the sorted window is empty and pops cancelled entries,
   /// recycling their slots. Const because read paths (next_time)
   /// trigger it lazily; the lists and pool are the mutable cache this
   /// maintains.
@@ -260,17 +277,23 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) const noexcept;
 
-  // Two-list lazy ordering. Invariant: every `far_` entry's key is
-  // >= `bottom_limit_`, which is > every bottom_ entry's time except
-  // for refill-batch entries that share the limit exactly — and those
-  // carry smaller sequence numbers than anything pushed since, so
-  // draining all of `bottom_` before touching `far_` is the correct
-  // total order. `far_` stays in push order between refills, which is
-  // what lets the refill sort be stable-by-time only.
+  // Windowed lazy ordering. Invariant: the window `bottom_[window_..]`
+  // holds every entry whose time is <= `bottom_limit_`; the entries
+  // before it and those in `far_` are all later than `bottom_limit_`.
+  // Draining the window before anything else is therefore the correct
+  // total order, and equal times never straddle the window boundary (a
+  // refill batch takes all of its latest instant). Inside each list,
+  // FIFO among ties is the sequence order: `bottom_` is sorted by the
+  // full (time, seq) key, and `far_` stays in push order until the
+  // stable sort that merges it. `far_min_` bounds `far_` from below
+  // (conservatively: cancelled entries still count) and tells a refill
+  // whether `far_` can wait.
   mutable std::vector<Entry> bottom_;     // sorted descending; back() = earliest
   mutable std::vector<Entry> far_;        // unsorted, push-ordered
-  mutable std::vector<Entry> sort_tmp_;   // radix scatter buffer
-  mutable Seconds bottom_limit_ = 0.0;    // pushes below this enter bottom_
+  mutable std::vector<Entry> sort_tmp_;   // radix scatter and merge buffer
+  mutable std::size_t window_ = 0;        // first index of the sorted window
+  mutable Seconds bottom_limit_ = 0.0;    // pushes at or below this enter the window
+  mutable Seconds far_min_ = kNever;      // earliest time pushed to far_ since its last merge
   detail::EventPool* pool_;
   std::uint64_t next_seq_ = 0;
 };

@@ -15,8 +15,10 @@
 //
 // The broker's scan path makes a weaker, size-independent promise: a
 // defended, econ-enabled petition allocates only its answer, so the
-// count must not grow with the registry. The broker's history store
-// allocates per peer only the record kinds that peer has been seen in.
+// count must not grow with the registry. So does a client's heartbeat
+// round: its datagrams' closures and one parked stats report, with the
+// advert republished in place. The broker's history store allocates per
+// peer only the record kinds that peer has been seen in.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -84,6 +87,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace peerlab {
 namespace {
 
+/// Keeps a value alive past the optimizer.
+volatile std::uint64_t g_sink = 0;
+void keep_alive(std::uint64_t value) { g_sink = value; }
+
 class AllocationGuard {
  public:
   AllocationGuard() {
@@ -131,9 +138,49 @@ TEST(AllocationGuard, EventQueueSteadyStateIsAllocationFree) {
     queue.push(t, [&fired] { ++fired; });
   }
   queue.pop().action();
+  // Heartbeat cycle: 256 daemon timers, each pushed again one period
+  // after it fires, beside a schedule of 64 events 300 s to an hour
+  // out and near-future datagrams, all on a coarse grid (ties on the
+  // refill batch boundaries), with schedule events re-armed into and
+  // past the sorted window and cancelled.
+  enum Kind { kTimer, kScheduled, kDatagram };
+  struct Tally {
+    Kind last = kTimer;
+    std::uint64_t fired = 0;
+  } tally;
+  // Two words of capture: stored inside the std::function.
+  const auto action = [&tally](Kind kind) {
+    return [&tally, kind] {
+      tally.last = kind;
+      ++tally.fired;
+    };
+  };
+  for (int i = 0; i < 256; ++i) queue.push(t + 0.5 * (i % 60), action(kTimer), true);
+  sim::EventHandle schedule[64];
+  for (int i = 0; i < 64; ++i) schedule[i] = queue.push(t + 30.0 * (10 + i), action(kScheduled));
+  for (int i = 0; i < 20000; ++i) {
+    auto popped = queue.pop();
+    popped.action();
+    t = popped.time;
+    if (tally.last == kTimer) {
+      queue.push(t + 30.0, action(kTimer), true);
+      if (i % 3 == 0) queue.push(t + 0.5 * (i % 13), action(kDatagram));
+    } else if (tally.last == kScheduled) {
+      schedule[i % 64] = queue.push(t + 30.0 * (10 + i % 110), action(kScheduled));
+    }
+    sim::EventHandle& target = schedule[(i * 7) % 64];
+    if (i % 7 == 0 && target.pending()) {
+      queue.rearm(target, t + (i % 2 == 0 ? 0.5 * (i % 13) : 30.0 * (10 + i % 110)));
+    } else if (i % 11 == 0 && target.pending()) {
+      target.cancel();
+      target = queue.push(t + 30.0 * (10 + i % 110), action(kScheduled));
+    }
+  }
+  queue.clear();
   const std::size_t allocations = guard.count();
   EXPECT_EQ(0u, allocations) << "EventQueue steady state allocated";
   EXPECT_GT(fired, 0u);
+  EXPECT_EQ(tally.fired, 20000u);
 }
 
 TEST(AllocationGuard, FlowSchedulerSteadyStateIsAllocationFree) {
@@ -358,6 +405,86 @@ TEST(AllocationGuard, DefendedEconSelectionAllocationsDoNotGrowWithRegistry) {
   EXPECT_EQ(small, large);
   // Only the answer vector itself: one allocation per petition.
   EXPECT_LE(small, static_cast<std::size_t>(kPetitions));
+}
+
+/// Allocations per heartbeat over one steady-state heartbeat period of
+/// a world of `clients`, all beating in phase.
+std::size_t heartbeat_allocations_per_beat(int clients) {
+  overlay::testing::WorldOptions options;
+  options.clients = clients;
+  overlay::testing::OverlayWorld world(options);
+  const Seconds period = options.client_config.heartbeat_interval;
+  world.boot(1.0);
+  // Warm: every ticket store, hash table and event-pool list past its
+  // high-water mark.
+  world.sim.run_until(world.sim.now() + 20 * period);
+  const std::uint64_t beats_before = world.broker->heartbeats_received();
+  g_allocations = 0;
+  g_tracking = true;
+  world.sim.run_until(world.sim.now() + period);
+  g_tracking = false;
+  const std::uint64_t beats = world.broker->heartbeats_received() - beats_before;
+  EXPECT_EQ(beats, static_cast<std::uint64_t>(clients));
+  // Rounded down: the stats-report ticket store's FIFO allocates one
+  // chunk per 64 parks, a fraction of an allocation per beat.
+  return beats == 0 ? 0 : g_allocations / beats;
+}
+
+TEST(AllocationGuard, HeartbeatRoundAllocationsDoNotGrowWithRegistry) {
+  // What one control datagram costs when its closure is too big for
+  // std::function's inline buffer: that closure and the network's
+  // arrival wrapper.
+  overlay::testing::WorldOptions options;
+  options.clients = 2;
+  overlay::testing::OverlayWorld world(options);
+  const auto bare_datagram = [&] {
+    std::uint64_t a = 1, b = 2, c = 3, d = 4;
+    g_allocations = 0;
+    g_tracking = true;
+    world.network->send_datagram(world.client(0).node(), NodeId(1), 4 * kKilobyte,
+                                 [a, b, c, d] { keep_alive(a + b + c + d); });
+    world.sim.run_until(world.sim.now() + 5.0);
+    g_tracking = false;
+    return g_allocations;
+  };
+  (void)bare_datagram();  // the event pool's first slot
+  const std::size_t datagram = bare_datagram();
+  ASSERT_GT(datagram, 0u);
+
+  // A heartbeat round sends three datagrams (heartbeat, self-observed
+  // stats report, advert republish) and parks one stats report; nothing
+  // in it may scale with the registry.
+  const std::size_t small = heartbeat_allocations_per_beat(16);
+  const std::size_t large = heartbeat_allocations_per_beat(256);
+  EXPECT_EQ(small, large) << "a heartbeat's cost grew with the registry";
+  EXPECT_LE(small, 3 * datagram + 1) << "a heartbeat allocated beyond its datagrams";
+
+  // The advert republish alone, as a client makes it: re-stamping a
+  // shared edition costs no more than a bare datagram — no copy of the
+  // attribute map and no index key, at the publisher or at the
+  // rendezvous.
+  auto adv = std::make_shared<jxta::Advertisement>();
+  adv->kind = jxta::AdvertisementKind::kPeer;
+  adv->publisher = world.client(0).id();
+  adv->name = "republished-peer.advert.example";
+  adv->home = world.client(0).node();
+  adv->attributes["cpu_ghz"] = "1.800000";
+  adv->attributes["price"] = "1.250000";
+  adv->attributes["role"] = "simpleclient";
+  const std::shared_ptr<const jxta::Advertisement> shared = adv;
+  const auto republish = [&] {
+    g_allocations = 0;
+    g_tracking = true;
+    world.client(0).discovery().publish(shared, 120.0);
+    world.sim.run_until(world.sim.now() + 5.0);
+    g_tracking = false;
+    return g_allocations;
+  };
+  (void)republish();  // the first edition is built here
+  EXPECT_LE(republish(), datagram) << "the republish copied the advertisement";
+  jxta::AdvertisementQuery query;
+  query.name = shared->name;
+  EXPECT_EQ(world.broker->rendezvous().query(query).size(), 1u);
 }
 
 TEST(AllocationGuard, HistoryAllocatesOnlyTheRecordKindsAPeerUses) {

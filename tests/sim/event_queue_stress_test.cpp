@@ -6,7 +6,9 @@
 // including pushes earlier than everything pending (which exercises the
 // sorted window's ordered-insert path), duplicate times (FIFO ties),
 // daemon accounting, bulk bursts big enough to force the radix refill
-// path, and slot pool reuse. Rearms hit both the in-place replacement
+// path, slot pool reuse, and the heartbeat shape of an overlay at scale
+// (periodic daemon timers beside an hour-long schedule, with ties on
+// every refill's batch boundary). Rearms hit both the in-place replacement
 // (old entry in the sorted window) and the re-slotting fallback (old
 // entry deep in the unsorted batch); the oracle models a rearm as a
 // fresh push order, which is the documented cancel+push equivalence.
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace peerlab::sim {
@@ -31,101 +34,205 @@ struct ModelEvent {
   bool daemon = false;
 };
 
+/// A real EventQueue driven beside the brute-force oracle, which keeps
+/// every live event and finds the next one by linear scan. Operations
+/// record gtest failures; callers stop on HasFatalFailure().
+class OracleHarness {
+ public:
+  [[nodiscard]] std::size_t live_count() const noexcept { return live_.size(); }
+  [[nodiscard]] const ModelEvent& live_event(std::size_t i) const { return live_[i].event; }
+  /// The event the last pop_and_verify() fired.
+  [[nodiscard]] const ModelEvent& popped() const noexcept { return popped_; }
+
+  void push(double time, bool daemon) {
+    const std::uint64_t order = next_order_++;
+    EventHandle handle =
+        queue_.push(time, [this, order] { fired_.push_back(order); }, daemon);
+    EXPECT_TRUE(handle.pending());
+    live_.push_back(Tracked{std::move(handle), ModelEvent{time, order, order, daemon}});
+  }
+
+  /// Rearms live event `i` to a fresh time. The model takes a new push
+  /// order: FIFO among equal times must behave exactly as if the event
+  /// were cancelled and re-pushed.
+  void rearm(std::size_t i, double time) {
+    queue_.rearm(live_[i].handle, time);
+    EXPECT_TRUE(live_[i].handle.pending());
+    live_[i].event.time = time;
+    live_[i].event.order = next_order_++;
+  }
+
+  void cancel(std::size_t i) {
+    live_[i].handle.cancel();
+    EXPECT_FALSE(live_[i].handle.pending());
+    live_[i].handle.cancel();  // double-cancel must be a no-op
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  void pop_and_verify() {
+    ASSERT_FALSE(live_.empty());
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < live_.size(); ++i) {
+      const ModelEvent& a = live_[i].event;
+      const ModelEvent& b = live_[best].event;
+      if (a.time < b.time || (a.time == b.time && a.order < b.order)) best = i;
+    }
+    ASSERT_EQ(live_[best].event.time, queue_.next_time());
+    auto popped = queue_.pop();
+    ASSERT_EQ(live_[best].event.time, popped.time);
+    ASSERT_TRUE(static_cast<bool>(popped.action));
+    popped.action();
+    ASSERT_FALSE(fired_.empty());
+    ASSERT_EQ(live_[best].event.id, fired_.back())
+        << "fired the wrong event at t=" << popped.time;
+    // A fired event's handle must go stale: pending() false and
+    // cancel() a harmless no-op that does not disturb counters.
+    EXPECT_FALSE(live_[best].handle.pending());
+    const std::size_t size_before = queue_.size();
+    live_[best].handle.cancel();
+    EXPECT_EQ(size_before, queue_.size());
+    popped_ = live_[best].event;
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(best));
+  }
+
+  /// Size, emptiness and daemon accounting agree with the model.
+  void check_counts() const {
+    ASSERT_EQ(live_.size(), queue_.size());
+    ASSERT_EQ(live_.empty(), queue_.empty());
+    const bool any_regular = std::any_of(live_.begin(), live_.end(),
+                                         [](const Tracked& t) { return !t.event.daemon; });
+    ASSERT_EQ(any_regular, queue_.has_work());
+  }
+
+  /// Pops everything: pops must come out globally (time, order)-sorted.
+  void drain() {
+    while (!live_.empty()) {
+      pop_and_verify();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_FALSE(queue_.has_work());
+  }
+
+ private:
+  struct Tracked {
+    EventHandle handle;
+    ModelEvent event;
+  };
+
+  EventQueue queue_;
+  std::vector<Tracked> live_;
+  std::vector<std::uint64_t> fired_;
+  std::uint64_t next_order_ = 0;
+  ModelEvent popped_;
+};
+
 TEST(EventQueueStress, RandomInterleavingsMatchOracle) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    EventQueue queue;
+    OracleHarness h;
     std::mt19937_64 rng(seed);
     const auto pick = [&](int lo, int hi) {
       return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const auto pick_live = [&] {
+      return static_cast<std::size_t>(pick(0, static_cast<int>(h.live_count()) - 1));
     };
     // A coarse grid makes same-time collisions (FIFO ties) and pushes
     // below the current minimum frequent.
     const auto pick_time = [&] { return 0.25 * pick(0, 40); };
 
-    struct Tracked {
-      EventHandle handle;
-      ModelEvent event;
-    };
-    std::vector<Tracked> live;
-    std::vector<std::uint64_t> fired;
-    std::uint64_t next_order = 0;
-
-    const auto push = [&](double time, bool daemon) {
-      const std::uint64_t order = next_order++;
-      EventHandle handle = queue.push(time, [&fired, order] { fired.push_back(order); }, daemon);
-      EXPECT_TRUE(handle.pending());
-      live.push_back(Tracked{std::move(handle), ModelEvent{time, order, order, daemon}});
-    };
-    const auto oracle_min = [&] {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < live.size(); ++i) {
-        const ModelEvent& a = live[i].event;
-        const ModelEvent& b = live[best].event;
-        if (a.time < b.time || (a.time == b.time && a.order < b.order)) best = i;
-      }
-      return best;
-    };
-    const auto pop_and_verify = [&] {
-      const std::size_t best = oracle_min();
-      ASSERT_EQ(live[best].event.time, queue.next_time());
-      auto popped = queue.pop();
-      ASSERT_EQ(live[best].event.time, popped.time);
-      ASSERT_TRUE(static_cast<bool>(popped.action));
-      popped.action();
-      ASSERT_FALSE(fired.empty());
-      ASSERT_EQ(live[best].event.id, fired.back());
-      // A fired event's handle must go stale: pending() false and
-      // cancel() a harmless no-op that does not disturb counters.
-      EXPECT_FALSE(live[best].handle.pending());
-      const std::size_t size_before = queue.size();
-      live[best].handle.cancel();
-      EXPECT_EQ(size_before, queue.size());
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(best));
-    };
-
     for (int op = 0; op < 30000; ++op) {
       const int what = pick(0, 9);
       if (what <= 3) {
-        push(pick_time(), /*daemon=*/pick(0, 4) == 0);
+        h.push(pick_time(), /*daemon=*/pick(0, 4) == 0);
       } else if (what == 4 && pick(0, 60) == 0) {
         // Bulk burst: enough unsorted backlog that the next drain runs
         // the radix path, with plenty of duplicate times.
         const int n = pick(100, 400);
-        for (int i = 0; i < n; ++i) push(pick_time(), false);
-      } else if (what == 5 && !live.empty()) {
-        // Rearm a uniformly random live event to a fresh time. The
-        // model takes a new push order: FIFO among equal times must
-        // behave exactly as if the event were cancelled and re-pushed.
-        const std::size_t i =
-            static_cast<std::size_t>(pick(0, static_cast<int>(live.size()) - 1));
+        for (int i = 0; i < n; ++i) h.push(pick_time(), false);
+      } else if (what == 5 && h.live_count() > 0) {
+        // Rearm a uniformly random live event to a fresh time. The two
+        // draws are separate statements so their order is fixed.
+        const std::size_t i = pick_live();
         const double time = pick_time();
-        queue.rearm(live[i].handle, time);
-        EXPECT_TRUE(live[i].handle.pending());
-        live[i].event.time = time;
-        live[i].event.order = next_order++;
-      } else if (what <= 7 && !live.empty()) {
+        h.rearm(i, time);
+      } else if (what <= 7 && h.live_count() > 0) {
         // Cancel a uniformly random live event: ones deep in the
         // unsorted batch, ones at the queue head, double-cancels.
-        const std::size_t i =
-            static_cast<std::size_t>(pick(0, static_cast<int>(live.size()) - 1));
-        live[i].handle.cancel();
-        EXPECT_FALSE(live[i].handle.pending());
-        live[i].handle.cancel();  // double-cancel must be a no-op
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-      } else if (!live.empty()) {
-        pop_and_verify();
+        h.cancel(pick_live());
+      } else if (h.live_count() > 0) {
+        h.pop_and_verify();
       }
-      ASSERT_EQ(live.size(), queue.size());
-      ASSERT_EQ(live.empty(), queue.empty());
-      const bool any_regular = std::any_of(
-          live.begin(), live.end(), [](const Tracked& t) { return !t.event.daemon; });
-      ASSERT_EQ(any_regular, queue.has_work());
+      h.check_counts();
+      if (HasFatalFailure()) return;
     }
+    h.drain();
+    if (HasFatalFailure()) return;
+  }
+}
 
-    // Drain fully: pops must come out globally (time, order)-sorted.
-    while (!live.empty()) pop_and_verify();
-    EXPECT_TRUE(queue.empty());
-    EXPECT_FALSE(queue.has_work());
+// The shape of an overlay at scale: n daemon heartbeat timers, each
+// pushed again one period after it fires, beside a schedule of regular
+// events 300 s to an hour out and near-future "datagram" events. Every
+// time sits on a coarse grid whose period is a whole number of steps,
+// so the timers keep colliding with one another and with the schedule:
+// equal-time ties land on every refill's batch boundary, and a push,
+// rearm or cancel hits the sorted window as often as the entries a
+// refill left behind.
+TEST(EventQueueStress, HeartbeatShapedTimersMatchOracle) {
+  constexpr double kGrid = 0.5;
+  constexpr double kPeriod = 30.0;  // 60 grid steps
+  for (const int timers : {16, 100, 480, 1500}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("timers " + std::to_string(timers) + ", seed " + std::to_string(seed));
+      OracleHarness h;
+      std::mt19937_64 rng(seed * 7919 + static_cast<std::uint64_t>(timers));
+      const auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+      };
+      const auto pick_live = [&] {
+        return static_cast<std::size_t>(pick(0, static_cast<int>(h.live_count()) - 1));
+      };
+      double now = 0.0;
+      // Timers start staggered over one period, several per grid step.
+      for (int i = 0; i < timers; ++i) h.push(kGrid * (i % 60), /*daemon=*/true);
+      for (int i = 0; i < timers / 4; ++i) h.push(kPeriod * pick(10, 120), false);
+
+      for (int op = 0; op < 20000; ++op) {
+        const int what = pick(0, 99);
+        if (what < 60 && h.live_count() > 0) {
+          h.pop_and_verify();
+          if (HasFatalFailure()) return;
+          now = h.popped().time;
+          if (h.popped().daemon) {
+            // The heartbeat: a fresh daemon one period out, and the
+            // datagrams it sends.
+            h.push(now + kPeriod, true);
+            if (pick(0, 2) == 0) h.push(now + kGrid * pick(0, 12), false);
+          }
+        } else if (what < 70) {
+          h.push(now + kPeriod * pick(10, 120), false);  // +300 s .. +3600 s
+        } else if (what < 80) {
+          h.push(now + kGrid * pick(0, 12), false);
+        } else if (what < 90 && h.live_count() > 0) {
+          // Rearm anything live, to the near future (inside the window)
+          // or beyond it.
+          const double delay = pick(0, 1) == 0 ? kGrid * pick(0, 12) : kGrid * pick(13, 240);
+          h.rearm(pick_live(), now + delay);
+        } else if (h.live_count() > 0) {
+          const std::size_t i = pick_live();
+          if (h.live_event(i).daemon) {
+            h.rearm(i, now + kPeriod);  // a timer is re-armed, never dropped
+          } else {
+            h.cancel(i);
+          }
+        }
+        h.check_counts();
+        if (HasFatalFailure()) return;
+      }
+      h.drain();
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "peerlab/common/check.hpp"
@@ -208,6 +209,36 @@ TEST(EventQueue, RearmPreservesDaemonFlag) {
   EXPECT_EQ(q.size(), 1u);
   q.pop();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LatePushesOnARefillBoundaryKeepFifo) {
+  // A refill moves only an earliest batch into the sorted window. For
+  // every instant k, a late push F lands beyond the window at k, and
+  // after each later pop another push P lands at k too: wherever a
+  // refill's batch boundary falls, F must fire after the original event
+  // at k and before every P, and the Ps in push order.
+  for (int k = 3; k <= 300; ++k) {
+    EventQueue q;
+    std::vector<int> fired;
+    for (int t = 1; t <= 300; ++t) q.push(t, [&fired, t] { fired.push_back(t); });
+    q.pop().action();
+    q.pop().action();
+    q.push(k, [&fired] { fired.push_back(-1); });
+    int late = 0;
+    while (!q.empty()) {
+      const auto popped = q.pop();
+      popped.action();
+      if (popped.time < k) {
+        const int id = -2 - late++;
+        q.push(k, [&fired, id] { fired.push_back(id); });
+      }
+    }
+    const auto at_k = std::find(fired.begin(), fired.end(), k);
+    ASSERT_NE(at_k, fired.end());
+    ASSERT_GE(fired.end() - at_k, late + 2);
+    EXPECT_EQ(at_k[1], -1) << "k = " << k;
+    for (int i = 0; i < late; ++i) ASSERT_EQ(at_k[2 + i], -2 - i) << "k = " << k;
+  }
 }
 
 TEST(EventQueue, RearmRejectsBadTimeAndDeadHandle) {
