@@ -1,7 +1,8 @@
 // Overlay-scale microbenchmarks (google-benchmark): wall-clock cost of
 // standing up deployments and pushing workloads through the full stack
 // — the simulator's events-per-second throughput, which bounds how
-// many repetitions the figure benches can afford.
+// many repetitions the figure benches can afford — and of one broker
+// selection on a booted population (BM_BrokerSelect).
 
 #include <benchmark/benchmark.h>
 
@@ -76,7 +77,7 @@ BENCHMARK(BM_TaskRoundTripThroughOverlay)->Unit(benchmark::kMillisecond);
 /// starting staggered over one heartbeat period.
 class HeartbeatWorld {
  public:
-  HeartbeatWorld(sim::Simulator& sim, int clients) {
+  HeartbeatWorld(sim::Simulator& sim, int clients, overlay::BrokerConfig broker_config = {}) {
     net::Topology topo(sim.rng().fork(1));
     const NodeId broker_node = topo.add_node(planetlab::broker_profile());
     const auto& table = planetlab::table1();
@@ -91,7 +92,7 @@ class HeartbeatWorld {
     }
     network_.emplace(sim, std::move(topo));
     fabric_.emplace(*network_);
-    broker_.emplace(*fabric_, broker_node, directories_);
+    broker_.emplace(*fabric_, broker_node, directories_, broker_config);
     const Seconds period = overlay::ClientConfig{}.heartbeat_interval;
     for (int i = 0; i < clients; ++i) {
       auto& client = clients_.emplace_back(std::make_unique<overlay::ClientPeer>(
@@ -101,6 +102,7 @@ class HeartbeatWorld {
   }
 
   [[nodiscard]] std::size_t registered() const { return broker_->registered_clients().size(); }
+  [[nodiscard]] overlay::BrokerPeer& broker() { return *broker_; }
 
  private:
   std::optional<net::Network> network_;
@@ -146,6 +148,50 @@ BENCHMARK(BM_SimulatedHourOfHeartbeatsPopulation)
     ->Arg(1000)
     ->Arg(3000)
     ->Unit(benchmark::kMillisecond);
+
+/// The broker's three selection paths: the candidate index
+/// (undefended), the defended scan, and the defended scan with econ
+/// admission under a deadline/budget contract.
+enum class BrokerArm : std::int64_t { kIndex = 0, kDefendedScan = 1, kDefendedEconScan = 2 };
+
+void BM_BrokerSelect(benchmark::State& state) {
+  // One 16-peer petition (the paper's 16-part transmission) through
+  // BrokerPeer::select_peers on a booted Table-1 population, economic
+  // model. Named BM_BrokerSelect/<clients>/<arm>. Between petitions the world runs one simulated second,
+  // untimed: heartbeats keep arriving (the index re-keys what they
+  // dirty) and econ assignment hints expire as they would in service.
+  const auto clients = static_cast<int>(state.range(0));
+  const auto arm = static_cast<BrokerArm>(state.range(1));
+  overlay::BrokerConfig config;
+  config.reputation.enabled = arm != BrokerArm::kIndex;
+  config.econ.enabled = arm == BrokerArm::kDefendedEconScan;
+  sim::Simulator sim(1);
+  HeartbeatWorld world(sim, clients, config);
+  world.broker().set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
+  const Seconds period = overlay::ClientConfig{}.heartbeat_interval;
+  sim.run_until(2 * period);
+
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = megabytes(16.0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim.run_until(sim.now() + 1.0);
+    ctx.now = sim.now();
+    if (arm == BrokerArm::kDefendedEconScan) {
+      ctx.deadline = ctx.now + 600.0;
+      ctx.budget = 50.0;
+    }
+    state.ResumeTiming();
+    const auto selected = world.broker().select_peers(ctx, 16);
+    benchmark::DoNotOptimize(selected.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["registered"] = static_cast<double>(world.registered());
+}
+BENCHMARK(BM_BrokerSelect)
+    ->ArgsProduct({{1000, 10000}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

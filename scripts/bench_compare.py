@@ -13,6 +13,8 @@ newest committed BENCH_<N>.json snapshot:
                               geomean items/s of BM_FlowSchedulerLocality
   * sim_events_per_s          geomean of the overlay "sim_events/s" counters
   * selection_decisions_per_s geomean items/s of bench_micro_selection
+  * broker_selections_per_s   geomean items/s of BM_BrokerSelect
+                              (BrokerPeer::select_peers, 16 peers)
 
 Typical use:
 
@@ -63,6 +65,7 @@ METRICS = {
     "flow_locality_transitions_per_s": (r"^BM_FlowSchedulerLocality/", "items_per_second"),
     "sim_events_per_s": (r"^BM_(FileTransferRoundTrip|SimulatedHourOfHeartbeats)", "sim_events/s"),
     "selection_decisions_per_s": (r"^BM_Select", "items_per_second"),
+    "broker_selections_per_s": (r"^BM_BrokerSelect/", "items_per_second"),
 }
 
 

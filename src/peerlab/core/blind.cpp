@@ -4,51 +4,46 @@
 
 namespace peerlab::core {
 
-void BlindModel::rank_into(std::span<const PeerSnapshot> candidates,
-                           const SelectionContext& context, std::vector<PeerId>& out) {
-  out.clear();
-  out.reserve(candidates.size());
+void BlindModel::score_into(std::span<const PeerSnapshot> candidates,
+                            const SelectionContext& context, std::vector<ScoredPeer>& scored) {
+  scored.clear();
+  scored.reserve(candidates.size());
   // Two loops so the common fault-free (no-exclude) path stays as tight
   // as before exclusion existed.
+  const auto emit = [&](std::size_t i) {
+    scored.push_back(ScoredPeer{candidates[i].peer, 0.0, static_cast<std::uint32_t>(i)});
+  };
   if (context.exclude.empty()) {
-    for (const auto& c : candidates) {
-      if (c.online) out.push_back(c.peer);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].online) emit(i);
     }
   } else {
-    for (const auto& c : candidates) {
-      if (c.online && !context.excluded(c.peer)) out.push_back(c.peer);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].online && !context.excluded(candidates[i].peer)) emit(i);
     }
   }
-  if (out.empty()) return;
-  std::sort(out.begin(), out.end());
+  if (scored.empty()) return;
+  // Peer order, rotated by the round-robin cursor. Blind stays blind to
+  // statistics, but a reputation-defended broker still sinks distrusted
+  // peers: there the order is by ascending penalty, peer id within equal
+  // penalties, and rotation is confined to the leading minimal-penalty
+  // group. With every cost still 0, ranks_before is plain peer order;
+  // the broker's snapshots arrive in it, so that sort is a no-op check.
+  std::size_t group = scored.size();
   if (context.reputation_weight != 0.0) {
-    // Blind stays blind to statistics, but a reputation-defended broker
-    // still sinks distrusted peers: stable-partition the id-sorted list
-    // by ascending penalty and confine round-robin rotation to the
-    // leading minimal-penalty group. At weight 0 that group is the
-    // whole list and behaviour is bit-identical to the plain path.
-    auto penalty_of = [&](PeerId peer) {
-      for (const auto& c : candidates) {
-        if (c.peer == peer) return context.reputation_penalty(c);
-      }
-      return 0.0;
-    };
-    std::stable_sort(out.begin(), out.end(), [&](PeerId a, PeerId b) {
-      return penalty_of(a) < penalty_of(b);
-    });
-    auto group_end = out.begin();
-    const double best = penalty_of(out.front());
-    while (group_end != out.end() && penalty_of(*group_end) == best) ++group_end;
-    if (mode_ == Mode::kRoundRobin) {
-      const auto group = static_cast<std::size_t>(group_end - out.begin());
-      const std::size_t start = take_turn(group);
-      std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(start), group_end);
-    }
-    return;
+    for (ScoredPeer& s : scored) s.cost = context.reputation_penalty(candidates[s.position]);
+    std::sort(scored.begin(), scored.end(), ranks_before);
+    group = 1;
+    while (group < scored.size() && scored[group].cost == scored.front().cost) ++group;
+  } else if (!std::is_sorted(scored.begin(), scored.end(), ranks_before)) {
+    std::sort(scored.begin(), scored.end(), ranks_before);
   }
-  if (mode_ == Mode::kRoundRobin) {
-    const std::size_t start = take_turn(out.size());
-    std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
+  const std::size_t start = mode_ == Mode::kRoundRobin ? take_turn(group) : 0;
+  // The cost is the entry's index in the rotated order.
+  for (std::size_t i = 0; i < scored.size(); ++i) {
+    std::size_t rank = i;
+    if (i < group) rank = i >= start ? i - start : i + group - start;
+    scored[i].cost = static_cast<double>(rank);
   }
 }
 

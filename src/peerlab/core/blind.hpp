@@ -19,12 +19,15 @@ class BlindModel final : public SelectionModel {
 
   [[nodiscard]] std::string name() const override { return "blind"; }
 
-  void rank_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
-                 std::vector<PeerId>& out) override;
+  /// Scores each eligible candidate with its index in the blind order
+  /// (peer order, rotated by the round-robin cursor), so the ranking is
+  /// that order.
+  void score_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
+                  std::vector<ScoredPeer>& scored) override;
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
-  /// Advances the round-robin cursor exactly as one rank_into() call
+  /// Advances the round-robin cursor exactly as one score_into() call
   /// over a `group`-sized eligible list would, returning the rotation
   /// start. The broker's candidate index uses this so the fast path
   /// and the scan share one cursor — interleaving them stays

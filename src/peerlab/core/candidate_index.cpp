@@ -465,10 +465,7 @@ void CandidateIndex::top_k(std::vector<Cursor>& cursors, std::size_t k, bool idl
   ++walk_epoch_;
   scored_.clear();
   best_heap_.clear();
-  const auto better = [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  };
+  const RanksBefore better;
   std::size_t walked = 0;
   for (;;) {
     bool enumerated_all = false;
@@ -487,7 +484,7 @@ void CandidateIndex::top_k(std::vector<Cursor>& cursors, std::size_t k, bool idl
       if (!eligible(slot, idle_gate)) continue;
       const std::uint32_t slot_index =
           static_cast<std::uint32_t>(&slot - slots_.data());
-      const Scored scored{slot_index, value_of(slot), entry.peer};
+      const ScoredPeer scored{entry.peer, value_of(slot), slot_index};
       scored_.push_back(scored);
       if (best_heap_.size() < k) {
         best_heap_.push_back(scored);
@@ -501,7 +498,7 @@ void CandidateIndex::top_k(std::vector<Cursor>& cursors, std::size_t k, bool idl
     if (enumerated_all) return;
     // Strictly better: a tie at the bound could still be beaten on the
     // peer-id tiebreak by an unseen peer, so keep pulling through ties.
-    if (best_heap_.size() >= k && best_heap_.front().value < bound_of()) return;
+    if (best_heap_.size() >= k && best_heap_.front().cost < bound_of()) return;
     if (walked > budget) {
       blown = true;
       return;
@@ -515,16 +512,13 @@ void CandidateIndex::dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of
   if (m_.dense_sweeps != nullptr) m_.dense_sweeps->add(1);
   scored_.clear();
   best_heap_.clear();
-  const auto better = [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  };
+  const RanksBefore better;
   for (const Slot& slot : slots_) {
     if (!slot.in_trees || !eligible(slot, idle_gate)) continue;
     ++pulls_;
     const std::uint32_t slot_index =
         static_cast<std::uint32_t>(&slot - slots_.data());
-    const Scored scored{slot_index, value_of(slot), slot.snap.peer};
+    const ScoredPeer scored{slot.snap.peer, value_of(slot), slot_index};
     if (best_heap_.size() < k) {
       best_heap_.push_back(scored);
       std::push_heap(best_heap_.begin(), best_heap_.end(), better);
@@ -538,16 +532,10 @@ void CandidateIndex::dense_top_k(std::size_t k, bool idle_gate, ValueOf value_of
 }
 
 void CandidateIndex::emit_scored(std::size_t k, std::vector<PeerId>& out) {
-  // Mirrors append_ranked: std::sort by (cost, peer); entries are
-  // distinct peers, so the permutation is unique.
-  std::sort(scored_.begin(), scored_.end(), [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.peer < b.peer;
-  });
-  const std::size_t n = std::min(k, scored_.size());
+  // The scan's own bounded selection over (cost, peer); entries are
+  // distinct peers, so the first k are unique.
   out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(scored_[i].peer);
+  append_best(scored_, k, out);
 }
 
 // ---- per-model fast paths ---------------------------------------------

@@ -50,6 +50,7 @@
 #include "peerlab/common/ids.hpp"
 #include "peerlab/common/units.hpp"
 #include "peerlab/core/ranked_tree.hpp"
+#include "peerlab/core/selection_model.hpp"
 #include "peerlab/core/snapshot.hpp"
 #include "peerlab/obs/metrics.hpp"
 
@@ -194,12 +195,6 @@ class CandidateIndex {
     }
   };
 
-  struct Scored {
-    std::uint32_t slot = 0;
-    double value = 0.0;
-    PeerId peer;
-  };
-
   /// Cached instrument handles; all null while detached.
   struct Metrics {
     obs::Counter* fast_path = nullptr;
@@ -332,8 +327,8 @@ class CandidateIndex {
   std::vector<HeapEntry> expiry_heap_;
 
   // Scratch (reused across selects).
-  std::vector<Scored> scored_;
-  std::vector<Scored> best_heap_;
+  std::vector<ScoredPeer> scored_;  // position = slot index
+  std::vector<ScoredPeer> best_heap_;
   std::vector<Cursor> cursors_;
   std::uint64_t walk_epoch_ = 0;
   std::uint64_t select_epoch_ = 0;

@@ -55,19 +55,18 @@ double DataEvaluatorModel::cost(const PeerSnapshot& peer,
   return 1.0 - weighted / weight_sum_;
 }
 
-void DataEvaluatorModel::rank_into(std::span<const PeerSnapshot> candidates,
-                                   const SelectionContext& context,
-                                   std::vector<PeerId>& out) {
-  out.clear();
-  arena().reset();
-  auto scored = mem::make_scratch<ScoredPeer>(arena(), candidates.size());
+void DataEvaluatorModel::score_into(std::span<const PeerSnapshot> candidates,
+                                    const SelectionContext& context,
+                                    std::vector<ScoredPeer>& scored) {
+  scored.clear();
+  scored.reserve(candidates.size());
   const bool has_excludes = !context.exclude.empty();
-  for (const auto& c : candidates) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const PeerSnapshot& c = candidates[i];
     if (!c.online || (has_excludes && context.excluded(c.peer))) continue;
-    scored.push_back(ScoredPeer{c.peer, cost(c, context) + context.reputation_penalty(c)});
+    scored.push_back(ScoredPeer{c.peer, cost(c, context) + context.reputation_penalty(c),
+                                static_cast<std::uint32_t>(i)});
   }
-  out.reserve(scored.size());
-  append_ranked({scored.data(), scored.size()}, out);
 }
 
 }  // namespace peerlab::core

@@ -38,8 +38,8 @@ class DataEvaluatorModel final : public SelectionModel {
 
   [[nodiscard]] std::string name() const override { return "data-evaluator"; }
 
-  void rank_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
-                 std::vector<PeerId>& out) override;
+  void score_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
+                  std::vector<ScoredPeer>& scored) override;
 
   /// Cost of one peer (lower is better) — exposed for tests/ablations.
   [[nodiscard]] double cost(const PeerSnapshot& peer, const SelectionContext& context) const;

@@ -74,10 +74,10 @@ double EconomicSchedulingModel::cost_for(const PeerSnapshot& peer,
   return peer.price_per_cpu_second * cpu_time;
 }
 
-void EconomicSchedulingModel::rank_into(std::span<const PeerSnapshot> candidates,
-                                        const SelectionContext& context,
-                                        std::vector<PeerId>& out) {
-  out.clear();
+void EconomicSchedulingModel::score_into(std::span<const PeerSnapshot> candidates,
+                                         const SelectionContext& context,
+                                         std::vector<ScoredPeer>& scored) {
+  scored.clear();
   struct Offer {
     const PeerSnapshot* peer = nullptr;
     Seconds completion = 0.0;
@@ -137,7 +137,7 @@ void EconomicSchedulingModel::rank_into(std::span<const PeerSnapshot> candidates
   const auto [clo, chi] = span_of([](const Offer& o) { return o.cost; });
   const double wsum = config_.time_weight + config_.cost_weight;
 
-  auto scored = mem::make_scratch<ScoredPeer>(arena(), offers.size());
+  scored.reserve(offers.size());
   for (const auto& o : offers) {
     const double tnorm = thi > tlo ? (o.completion - tlo) / (thi - tlo) : 0.0;
     const double cnorm = chi > clo ? (o.cost - clo) / (chi - clo) : 0.0;
@@ -146,10 +146,9 @@ void EconomicSchedulingModel::rank_into(std::span<const PeerSnapshot> candidates
     utility -= 1e-9 * o.peer->cpu_ghz;
     // Reputation defense: exact zero when the context carries no weight.
     utility += context.reputation_penalty(*o.peer);
-    scored.push_back(ScoredPeer{o.peer->peer, utility});
+    scored.push_back(ScoredPeer{o.peer->peer, utility,
+                                static_cast<std::uint32_t>(o.peer - candidates.data())});
   }
-  out.reserve(scored.size());
-  append_ranked({scored.data(), scored.size()}, out);
 }
 
 }  // namespace peerlab::core

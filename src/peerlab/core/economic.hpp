@@ -48,8 +48,8 @@ class EconomicSchedulingModel final : public SelectionModel {
 
   [[nodiscard]] std::string name() const override { return "economic"; }
 
-  void rank_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
-                 std::vector<PeerId>& out) override;
+  void score_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
+                  std::vector<ScoredPeer>& scored) override;
 
   /// Exposed estimators (used by ablation benches and tests).
   [[nodiscard]] Seconds estimate_ready_time(const PeerSnapshot& peer) const;

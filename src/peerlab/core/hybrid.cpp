@@ -21,9 +21,9 @@ HybridModel::HybridModel(HybridConfig config)
   PEERLAB_CHECK_MSG(alpha_ >= 0.0 && alpha_ <= 1.0, "alpha must be in [0, 1]");
 }
 
-void HybridModel::rank_into(std::span<const PeerSnapshot> candidates,
-                            const SelectionContext& context, std::vector<PeerId>& out) {
-  out.clear();
+void HybridModel::score_into(std::span<const PeerSnapshot> candidates,
+                             const SelectionContext& context, std::vector<ScoredPeer>& scored) {
+  scored.clear();
   // Economic term: completion + cost estimate, min-max normalized.
   struct Term {
     const PeerSnapshot* peer = nullptr;
@@ -60,14 +60,13 @@ void HybridModel::rank_into(std::span<const PeerSnapshot> candidates,
   normalize([](const Term& t) { return t.evaluator; },
             [](Term& t, double v) { t.evaluator = v; });
 
-  auto scored = mem::make_scratch<ScoredPeer>(arena(), terms.size());
+  scored.reserve(terms.size());
   for (const auto& t : terms) {
-    scored.push_back(ScoredPeer{t.peer->peer, alpha_ * t.economic +
-                                                 (1.0 - alpha_) * t.evaluator +
-                                                 context.reputation_penalty(*t.peer)});
+    scored.push_back(ScoredPeer{t.peer->peer,
+                                alpha_ * t.economic + (1.0 - alpha_) * t.evaluator +
+                                    context.reputation_penalty(*t.peer),
+                                static_cast<std::uint32_t>(t.peer - candidates.data())});
   }
-  out.reserve(scored.size());
-  append_ranked({scored.data(), scored.size()}, out);
 }
 
 }  // namespace peerlab::core

@@ -33,8 +33,8 @@ class HybridModel final : public SelectionModel {
 
   [[nodiscard]] std::string name() const override { return "hybrid"; }
 
-  void rank_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
-                 std::vector<PeerId>& out) override;
+  void score_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
+                  std::vector<ScoredPeer>& scored) override;
 
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 

@@ -1,35 +1,38 @@
 #include "peerlab/core/selection_model.hpp"
 
-#include <algorithm>
-
 namespace peerlab::core {
+
+void append_best(std::span<ScoredPeer> scored, std::size_t k, std::vector<PeerId>& out) {
+  const auto end = order_best(scored.begin(), scored.end(), k, ranks_before);
+  out.reserve(out.size() + static_cast<std::size_t>(end - scored.begin()));
+  for (auto it = scored.begin(); it != end; ++it) out.push_back(it->peer);
+}
+
+void SelectionModel::rank_into(std::span<const PeerSnapshot> candidates,
+                               const SelectionContext& context, std::vector<PeerId>& out) {
+  score_into(candidates, context, scored_);
+  out.clear();
+  append_best(scored_, scored_.size(), out);
+}
 
 PeerId SelectionModel::select(std::span<const PeerSnapshot> candidates,
                               const SelectionContext& context) {
-  rank_into(candidates, context, ranking_);
-  return ranking_.empty() ? PeerId{} : ranking_.front();
+  score_into(candidates, context, scored_);
+  const auto end = order_best(scored_.begin(), scored_.end(), 1, ranks_before);
+  return end == scored_.begin() ? PeerId{} : scored_.front().peer;
 }
 
 std::vector<PeerId> SelectionModel::select_k(std::span<const PeerSnapshot> candidates,
                                              const SelectionContext& context, std::size_t k) {
-  rank_into(candidates, context, ranking_);
-  const std::size_t n = std::min(k, ranking_.size());
-  return std::vector<PeerId>(ranking_.begin(),
-                             ranking_.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
-void append_ranked(std::span<ScoredPeer> scored, std::vector<PeerId>& out) {
-  std::sort(scored.begin(), scored.end(), [](const ScoredPeer& a, const ScoredPeer& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.peer < b.peer;
-  });
-  for (const auto& s : scored) out.push_back(s.peer);
+  score_into(candidates, context, scored_);
+  std::vector<PeerId> out;
+  append_best(scored_, k, out);
+  return out;
 }
 
 std::vector<PeerId> ranked_by_cost(std::vector<ScoredPeer> scored) {
   std::vector<PeerId> out;
-  out.reserve(scored.size());
-  append_ranked(scored, out);
+  append_best(scored, scored.size(), out);
   return out;
 }
 

@@ -13,7 +13,7 @@ UserPreferenceModel::UserPreferenceModel(std::vector<PeerId> preference_order)
     PEERLAB_CHECK_MSG(id.valid(), "preference order contains an invalid peer");
   }
   // Freeze the peer → rank index now: the preference list never changes
-  // after construction, so rank_into() can binary-search instead of
+  // after construction, so score_into() can binary-search instead of
   // rebuilding a hash map per petition. Sorting by (peer, rank) and
   // keeping the first entry per peer preserves the old emplace()
   // semantics — the earliest occurrence of a duplicated peer wins.
@@ -70,14 +70,14 @@ double UserPreferenceModel::base_cost(PeerId peer) const {
              : static_cast<double>(preference_.size()) + static_cast<double>(peer.value());
 }
 
-void UserPreferenceModel::rank_into(std::span<const PeerSnapshot> candidates,
-                                    const SelectionContext& context,
-                                    std::vector<PeerId>& out) {
-  out.clear();
-  arena().reset();
-  auto scored = mem::make_scratch<ScoredPeer>(arena(), candidates.size());
+void UserPreferenceModel::score_into(std::span<const PeerSnapshot> candidates,
+                                     const SelectionContext& context,
+                                     std::vector<ScoredPeer>& scored) {
+  scored.clear();
+  scored.reserve(candidates.size());
   const bool has_excludes = !context.exclude.empty();
-  for (const auto& c : candidates) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const PeerSnapshot& c = candidates[i];
     if (!c.online || (has_excludes && context.excluded(c.peer))) continue;
     double cost = base_cost(c.peer);
     // Costs here are rank indices, so the reputation term is scaled by
@@ -85,10 +85,8 @@ void UserPreferenceModel::rank_into(std::span<const PeerSnapshot> candidates,
     // weight 1 drops below every trusted candidate. Exact zero at
     // weight 0.
     cost += context.reputation_penalty(c) * static_cast<double>(candidates.size());
-    scored.push_back(ScoredPeer{c.peer, cost});
+    scored.push_back(ScoredPeer{c.peer, cost, static_cast<std::uint32_t>(i)});
   }
-  out.reserve(scored.size());
-  append_ranked({scored.data(), scored.size()}, out);
 }
 
 }  // namespace peerlab::core

@@ -29,8 +29,8 @@ class UserPreferenceModel final : public SelectionModel {
 
   [[nodiscard]] std::string name() const override { return "user-preference"; }
 
-  void rank_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
-                 std::vector<PeerId>& out) override;
+  void score_into(std::span<const PeerSnapshot> candidates, const SelectionContext& context,
+                  std::vector<ScoredPeer>& scored) override;
 
   [[nodiscard]] const std::vector<PeerId>& preference_order() const noexcept {
     return preference_;
@@ -46,7 +46,7 @@ class UserPreferenceModel final : public SelectionModel {
   std::vector<PeerId> preference_;
   /// Peer → preference rank, sorted by peer for binary search. Built
   /// once at construction (first occurrence wins on duplicates); the
-  /// ranking is static, so rank_into() must not rebuild a lookup table
+  /// ranking is static, so score_into() must not rebuild a lookup table
   /// per petition.
   std::vector<std::pair<PeerId, std::size_t>> position_;
 };

@@ -134,13 +134,15 @@ double EconEngine::efficiency_score(const core::PeerSnapshot& peer, GigaHertz ma
          total;
 }
 
-EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapshot> candidates,
-                                               const core::SelectionContext& context,
-                                               std::vector<PeerId>& ranking) {
+EconEngine::Verdict EconEngine::admit(std::span<const core::PeerSnapshot> candidates,
+                                      std::span<const core::ScoredPeer> scored,
+                                      const core::SelectionContext& context, std::size_t k,
+                                      std::vector<PeerId>& out) {
   Verdict verdict;
+  out.clear();
   ++petitions_;
   if (m_.petitions != nullptr) m_.petitions->add(1);
-  if (ranking.empty()) {
+  if (scored.empty()) {
     verdict.exhausted = true;
     ++exhausted_;
     if (m_.exhausted != nullptr) m_.exhausted->add(1);
@@ -160,60 +162,58 @@ EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapsho
   GigaHertz max_cpu = 0.0;
 
   entries_.clear();
-  for (std::size_t rank = 0; rank < ranking.size(); ++rank) {
-    Entry entry;
-    entry.peer = ranking[rank];
-    entry.model_rank = rank;
-    entry.position = position_of(entry.peer);
-    PEERLAB_CHECK_MSG(entry.position < candidates.size(),
-                      "ranked peer missing from candidate set");
-    const core::PeerSnapshot& snap = candidates[entry.position];
-    const int pending = pending_[entry.position];
+  for (const core::ScoredPeer& s : scored) {
+    PEERLAB_CHECK_MSG(s.position < candidates.size() && candidates[s.position].peer == s.peer,
+                      "scored peer missing from candidate set");
+    const core::PeerSnapshot& snap = candidates[s.position];
+    const int pending = pending_[s.position];
     // Appraise the broker's snapshot in place; copy it only when an
     // assignment hint has to be folded in.
-    entry.appraisal = pending == 0 ? appraise_view(snap, context)
-                                   : appraise_view(with_hints(snap, pending), context);
-    entries_.push_back(entry);
+    entries_.push_back(Entry{s,
+                             pending == 0 ? appraise_view(snap, context)
+                                          : appraise_view(with_hints(snap, pending), context),
+                             0.0});
     max_cpu = std::max(max_cpu, snap.cpu_ghz);
   }
   if (objective == core::EconObjective::kEfficiency) {
     for (Entry& entry : entries_) {
       // Availability must see the same assignment hints the appraisal
       // priced in, or a burst of petitions all crown the same peer.
-      const core::PeerSnapshot& snap = candidates[entry.position];
-      const int pending = pending_[entry.position];
+      const core::PeerSnapshot& snap = candidates[entry.scored.position];
+      const int pending = pending_[entry.scored.position];
       entry.efficiency = pending == 0 ? efficiency_score(snap, max_cpu)
                                       : efficiency_score(with_hints(snap, pending), max_cpu);
     }
   }
 
-  // Stable partition: feasible candidates first, both halves still in
-  // model order (model_rank is the universal tiebreak below). By hand,
-  // through reused spill scratch: std::stable_partition allocates.
-  infeasible_.clear();
-  auto mid = entries_.begin();
-  for (const Entry& entry : entries_) {
-    if (entry.appraisal.feasible()) {
-      *mid++ = entry;
-    } else {
-      infeasible_.push_back(entry);
-    }
-  }
-  std::copy(infeasible_.begin(), infeasible_.end(), mid);
+  // Feasible candidates first. Neither half needs its input order: the
+  // model's (cost, peer) breaks every tie below, so each order is total.
+  const auto mid = std::partition(entries_.begin(), entries_.end(),
+                                  [](const Entry& e) { return e.appraisal.feasible(); });
   verdict.appraised = entries_.size();
   verdict.feasible = static_cast<std::size_t>(mid - entries_.begin());
+  const auto by_model = [](const Entry& a, const Entry& b) {
+    return core::ranks_before(a.scored, b.scored);
+  };
+  const auto emit = [&]() {
+    const std::size_t n = std::min(k, entries_.size());
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(entries_[i].scored.peer);
+  };
   if (verdict.feasible == 0) {
     // Every candidate blows the deadline or the budget. The broker
-    // never refuses service: leave the model's least-bad order intact.
+    // never refuses service: the model's least-bad order stands.
     verdict.exhausted = true;
     ++exhausted_;
     rejected_ += verdict.appraised;
     if (m_.exhausted != nullptr) m_.exhausted->add(1);
     if (m_.rejected != nullptr) m_.rejected->add(verdict.appraised);
+    core::order_best(entries_.begin(), entries_.end(), k, by_model);
+    emit();
     return verdict;
   }
 
-  std::sort(entries_.begin(), mid, [objective](const Entry& a, const Entry& b) {
+  const auto by_objective = [objective](const Entry& a, const Entry& b) {
     const Appraisal& aa = a.appraisal;
     const Appraisal& ab = b.appraisal;
     switch (objective) {
@@ -232,11 +232,13 @@ EconEngine::Verdict EconEngine::admit_and_rank(std::span<const core::PeerSnapsho
         if (aa.completion != ab.completion) return aa.completion < ab.completion;
         break;
     }
-    return a.model_rank < b.model_rank;
-  });
-
-  ranking.clear();
-  for (const Entry& entry : entries_) ranking.push_back(entry.peer);
+    return core::ranks_before(a.scored, b.scored);
+  };
+  // At least the winner is ordered whatever k is, so the samples below
+  // are the same at k = 0 as at k = n.
+  core::order_best(entries_.begin(), mid, std::max<std::size_t>(k, 1), by_objective);
+  if (k > verdict.feasible) core::order_best(mid, entries_.end(), k - verdict.feasible, by_model);
+  emit();
 
   admitted_ += verdict.feasible;
   rejected_ += verdict.appraised - verdict.feasible;

@@ -14,12 +14,13 @@
 //     for an unchanged peer are identical and seeded runs replay
 //     bit for bit.
 //   * EconEngine — appraises every candidate the selection model
-//     ranked (ready/service-time estimators shared with the core
+//     scored (ready/service-time estimators shared with the core
 //     economic model, cost from the price book), filters by the
-//     petition's deadline and budget, and re-ranks the feasible set by
-//     a DBC objective: cost-optimise, time-optimise, cost-time, or a
+//     petition's deadline and budget, and ranks the feasible set by a
+//     DBC objective: cost-optimise, time-optimise, cost-time, or a
 //     Dubey–Tokekar real-time efficiency score (latency + capability
-//     + availability).
+//     + availability). It orders only the k peers the petition asked
+//     for.
 //   * Ledger — bench-side accounting of deadline misses and budget
 //     violations against actual outcomes.
 //
@@ -152,17 +153,20 @@ class EconEngine {
     bool exhausted = false;
   };
 
-  /// Re-orders `ranking` (the model's output over `candidates`) in
-  /// place: feasible candidates first, sorted by the petition's
-  /// objective with the model's order breaking ties, then infeasible
-  /// candidates in model order. `ranking` must only contain peers
-  /// present in `candidates` (any order; a peer listed twice resolves
-  /// to its first snapshot). Allocation-free once warmed: unexpired
-  /// hints are counted once per petition, candidates are found by
-  /// position, and every intermediate lives in member scratch.
-  Verdict admit_and_rank(std::span<const core::PeerSnapshot> candidates,
-                         const core::SelectionContext& context,
-                         std::vector<PeerId>& ranking);
+  /// Admits the model's scored candidates (SelectionModel::score_into
+  /// over `candidates`) and writes the first min(k, n) peers of the
+  /// admission order into `out` (cleared first). The order: feasible
+  /// candidates by the petition's objective, then by the model's
+  /// (cost, peer); infeasible candidates by (cost, peer). The verdict,
+  /// the counters and the winner's samples cover every candidate and
+  /// do not depend on k (the winner is the best feasible entry, even at
+  /// k = 0). Every entry's `position` must index its own snapshot in
+  /// `candidates`. Allocation-free once warmed: unexpired hints are
+  /// mapped to positions once per petition, candidates are appraised
+  /// by position, and every intermediate lives in member scratch.
+  Verdict admit(std::span<const core::PeerSnapshot> candidates,
+                std::span<const core::ScoredPeer> scored, const core::SelectionContext& context,
+                std::size_t k, std::vector<PeerId>& out);
 
   /// The effective objective for a petition (kBrokerDefault resolves
   /// to the configured default).
@@ -229,15 +233,13 @@ class EconEngine {
 
   /// Scratch reused across petitions (single-threaded broker).
   struct Entry {
-    PeerId peer;
-    std::size_t model_rank = 0;
-    std::size_t position = 0;  ///< index into the candidate span
+    core::ScoredPeer scored;  ///< the model's score and the candidate's position
     Appraisal appraisal;
     double efficiency = 0.0;
   };
   std::vector<Entry> entries_;
-  std::vector<Entry> infeasible_;  ///< stable-partition spill
-  /// (peer, position) over the petition's candidates, sorted.
+  /// (peer, position) over the petition's candidates, sorted; maps the
+  /// assignment hints onto positions.
   std::vector<std::pair<PeerId, std::size_t>> positions_;
   /// Unexpired hints per candidate position.
   std::vector<int> pending_;

@@ -22,7 +22,7 @@
 // ArenaAllocator<T> adapts an Arena to the std::allocator interface so
 // per-call scratch can be an ordinary std::vector with arena-backed
 // storage; selection models reset their arena at the top of each
-// rank_into() and build all intermediate vectors on it.
+// score_into() and build their intermediate vectors on it.
 
 #include <cstddef>
 #include <cstdint>

@@ -148,7 +148,7 @@ const core::SelectionContext& BrokerPeer::scan(const core::SelectionContext& con
                                                bool traced) {
   fill_snapshots(snapshots_);
   if (!config_.reputation.enabled) {
-    model_->rank_into(snapshots_, context, ranking_);
+    model_->score_into(snapshots_, context, scored_);
     return context;
   }
   defended_ = context;  // reuses the exclude buffer's capacity
@@ -159,12 +159,12 @@ const core::SelectionContext& BrokerPeer::scan(const core::SelectionContext& con
     trace_->emit(node_, TraceKind::kReputationExclude, context.trace,
                  defended_.exclude.size() - base_excludes, 0);
   }
-  model_->rank_into(snapshots_, defended_, ranking_);
-  if (ranking_.empty() && defended_.exclude.size() > base_excludes) {
+  model_->score_into(snapshots_, defended_, scored_);
+  if (scored_.empty() && defended_.exclude.size() > base_excludes) {
     // Graceful degradation: a quarantine that empties the candidate set
     // is lifted for this decision — a distrusted peer beats none.
     defended_.exclude.resize(base_excludes);
-    model_->rank_into(snapshots_, defended_, ranking_);
+    model_->score_into(snapshots_, defended_, scored_);
   }
   return defended_;
 }
@@ -174,8 +174,9 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
   const obs::WallProfiler::Span span(m_.profiler, m_.rank_site);
   const bool traced = trace_ != nullptr && context.trace.active();
   // Economically-constrained petitions never take the index fast path:
-  // admission needs the model's *full* ranking (the index's threshold
-  // walk stops at k), and the index refuses these contexts anyway.
+  // admission appraises every candidate the model scored (the index's
+  // threshold walk stops at k), and the index refuses these contexts
+  // anyway.
   const bool econ = econ_.applies(context);
   if (!econ && index_active_ && index_.try_select(context, sim().now(), k, index_out_)) {
     if (traced) {
@@ -185,16 +186,18 @@ std::vector<PeerId> BrokerPeer::select_peers(const core::SelectionContext& conte
     return index_out_;
   }
   const core::SelectionContext& effective = scan(context, traced);
+  // Only the k answered peers are ordered, never the whole registry.
+  std::vector<PeerId> selected;
   econ::EconEngine::Verdict verdict;
-  if (econ) verdict = econ_.admit_and_rank(snapshots_, effective, ranking_);
-  const auto n = static_cast<std::ptrdiff_t>(std::min(k, ranking_.size()));
-  std::vector<PeerId> selected(ranking_.begin(), ranking_.begin() + n);
   if (econ) {
+    verdict = econ_.admit(snapshots_, scored_, effective, k, selected);
     // Optimistic backlog: the answered peers are about to receive work
     // the next heartbeat cannot know about yet. Hint the engine so a
     // burst of constrained petitions spreads instead of piling onto the
     // one peer whose stale snapshot still looks idle.
     for (const PeerId peer : selected) econ_.note_assignment(peer, sim().now());
+  } else {
+    core::append_best(scored_, k, selected);
   }
   if (traced) {
     if (econ) {

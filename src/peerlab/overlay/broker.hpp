@@ -243,8 +243,9 @@ class BrokerPeer {
   void fill_snapshots(std::vector<core::PeerSnapshot>& out) const;
   /// The scan step of every non-index selection: refills snapshots_,
   /// builds the defended context (reputation penalty and quarantine
-  /// excludes, lifted again if they leave nothing eligible) and ranks
-  /// into ranking_. Returns the context the ranking was made under.
+  /// excludes, lifted again if they leave nothing eligible) and scores
+  /// into scored_, unsorted. Returns the context the scores were made
+  /// under.
   const core::SelectionContext& scan(const core::SelectionContext& context, bool traced);
   /// Sampled index-vs-scan equivalence check (traced selections only).
   void audit_index_selection(const core::SelectionContext& context, std::size_t k,
@@ -278,7 +279,7 @@ class BrokerPeer {
   std::vector<PeerId> index_out_;
   // Scan scratch reused across petitions.
   std::vector<core::PeerSnapshot> snapshots_;
-  std::vector<PeerId> ranking_;
+  std::vector<core::ScoredPeer> scored_;
   core::SelectionContext defended_;
   transport::ReliableChannel select_channel_;
   obs::trace::TraceRecorder* trace_ = nullptr;

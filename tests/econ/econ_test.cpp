@@ -4,8 +4,10 @@
 
 #include <vector>
 
+#include "econ/scored_ranking.hpp"
 #include "peerlab/common/check.hpp"
 #include "peerlab/core/blind.hpp"
+#include "peerlab/obs/metrics.hpp"
 
 namespace peerlab::econ {
 namespace {
@@ -167,12 +169,20 @@ struct Admitted {
   std::vector<PeerId> ranking;
 };
 
+/// EconEngine::admit over a model ranking (scores = rank indices), with
+/// every candidate written back into `ranking`.
+EconEngine::Verdict admit_ranking(EconEngine& engine, std::span<const PeerSnapshot> candidates,
+                                  const SelectionContext& ctx, std::vector<PeerId>& ranking) {
+  const auto scored = testing::scored_by_rank(candidates, ranking);
+  return engine.admit(candidates, scored, ctx, scored.size(), ranking);
+}
+
 Admitted admit(EconEngine& engine, SelectionContext ctx, std::size_t n) {
   Admitted out;
   core::BlindModel blind;
   for (std::uint64_t id = 1; id <= n; ++id) out.candidates.push_back(peer(id));
   blind.rank_into(out.candidates, ctx, out.ranking);
-  engine.admit_and_rank(out.candidates, ctx, out.ranking);
+  admit_ranking(engine, out.candidates, ctx, out.ranking);
   return out;
 }
 
@@ -230,7 +240,7 @@ TEST(EconEngine, TimeOptimiseRanksFastestFirst) {
   auto ctx = transfer_ctx();
   ctx.deadline = 1e9;
   std::vector<PeerId> ranking{PeerId(2), PeerId(1)};  // model liked the busy one
-  engine.admit_and_rank(candidates, ctx, ranking);
+  admit_ranking(engine, candidates, ctx, ranking);
   EXPECT_EQ(ranking.front(), PeerId(1));  // engine prefers the idle one
 }
 
@@ -251,7 +261,7 @@ TEST(EconEngine, CostTimeBreaksCostTiesOnCompletion) {
   auto ctx = transfer_ctx();
   ctx.budget = 1e9;
   std::vector<PeerId> ranking{PeerId(1), PeerId(2)};
-  engine.admit_and_rank(candidates, ctx, ranking);
+  admit_ranking(engine, candidates, ctx, ranking);
   // Costs tie (same price, same service estimate); completion decides.
   EXPECT_EQ(ranking.front(), PeerId(2));
 }
@@ -290,7 +300,7 @@ TEST(EconEngine, ExhaustionLeavesModelOrderIntact) {
   ctx.budget = 1e-9;  // nobody can quote under this
   std::vector<PeerId> ranking{PeerId(3), PeerId(1), PeerId(2)};
   const std::vector<PeerId> before = ranking;
-  const auto verdict = engine.admit_and_rank(candidates, ctx, ranking);
+  const auto verdict = admit_ranking(engine, candidates, ctx, ranking);
   EXPECT_TRUE(verdict.exhausted);
   EXPECT_EQ(verdict.feasible, 0u);
   EXPECT_EQ(ranking, before);  // least-bad: the model's order stands
@@ -342,7 +352,7 @@ TEST(EconEngine, EmptyRankingCountsAsExhausted) {
   std::vector<PeerId> ranking;
   SelectionContext ctx;
   ctx.budget = 1.0;
-  const auto verdict = engine.admit_and_rank(candidates, ctx, ranking);
+  const auto verdict = admit_ranking(engine, candidates, ctx, ranking);
   EXPECT_TRUE(verdict.exhausted);
   EXPECT_TRUE(ranking.empty());
 }
@@ -355,11 +365,74 @@ TEST(EconEngine, MetricsMirrorCounters) {
   auto ctx = transfer_ctx();
   ctx.budget = 1e9;
   std::vector<PeerId> ranking{PeerId(1), PeerId(2)};
-  engine.admit_and_rank(candidates, ctx, ranking);
+  admit_ranking(engine, candidates, ctx, ranking);
   EXPECT_EQ(registry.counter("econ.petitions", "petitions").value(), 1.0);
   EXPECT_EQ(registry.counter("econ.admitted", "candidates").value(), 2.0);
   EXPECT_EQ(registry.counter("econ.rejected", "candidates").value(), 0.0);
   EXPECT_EQ(registry.find_histogram("econ.quoted_cost")->count(), 1u);
+}
+
+TEST(EconEngine, AdmissionCountsAndSamplesDoNotDependOnK) {
+  // One engine answers every petition with k = 0, its twin with k = n.
+  // Both must count and sample the same: the winner is the best
+  // feasible entry even when nothing is written out.
+  EconConfig cfg;
+  cfg.enabled = true;
+  cfg.estimator.default_rate_estimate = 8.0;
+  EconEngine none(cfg);
+  EconEngine all(cfg);
+  obs::MetricRegistry none_metrics;
+  obs::MetricRegistry all_metrics;
+  none.attach_metrics(none_metrics);
+  all.attach_metrics(all_metrics);
+
+  std::vector<PeerSnapshot> candidates;
+  for (std::uint64_t id = 1; id <= 24; ++id) {
+    auto p = peer(id, 1.0, 0.5 + 0.25 * static_cast<double>(id % 7));
+    p.idle = id % 3 != 0;
+    p.queued_tasks = static_cast<int>(id % 4);
+    p.active_transfers = static_cast<int>(id % 2);
+    candidates.push_back(p);
+  }
+  // The model's order runs against the engine's: the first feasible
+  // entry in input order is rarely the best one.
+  std::vector<PeerId> ranking;
+  for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) ranking.push_back(it->peer);
+  const auto scored = testing::scored_by_rank(candidates, ranking);
+
+  std::vector<PeerId> out;
+  for (int i = 0; i < 40; ++i) {
+    auto ctx = transfer_ctx(megabytes(1.0 + static_cast<double>(i % 5)));
+    ctx.now = static_cast<Seconds>(i);
+    ctx.objective = static_cast<EconObjective>(i % 5);
+    ctx.budget = i % 4 == 0 ? 1e-9 : 0.5 + 0.25 * static_cast<double>(i % 9);
+    ctx.deadline = i % 3 == 0 ? ctx.now + 1.0 + static_cast<double>(i % 7) : 0.0;
+    const auto v0 = none.admit(candidates, scored, ctx, 0, out);
+    EXPECT_TRUE(out.empty());
+    const auto vn = all.admit(candidates, scored, ctx, scored.size(), out);
+    EXPECT_EQ(out.size(), scored.size());
+    EXPECT_EQ(v0.appraised, vn.appraised) << "petition " << i;
+    EXPECT_EQ(v0.feasible, vn.feasible) << "petition " << i;
+    EXPECT_EQ(v0.exhausted, vn.exhausted) << "petition " << i;
+  }
+  EXPECT_GT(all.admitted(), 0u);
+  EXPECT_GT(all.exhausted(), 0u);
+  for (const char* name : {"econ.petitions", "econ.admitted", "econ.rejected", "econ.exhausted"}) {
+    EXPECT_EQ(none_metrics.find_counter(name)->value(), all_metrics.find_counter(name)->value())
+        << name;
+  }
+  for (const char* name : {"econ.quoted_cost", "econ.predicted_completion_s"}) {
+    const obs::Histogram& h0 = *none_metrics.find_histogram(name);
+    const obs::Histogram& hn = *all_metrics.find_histogram(name);
+    ASSERT_GT(hn.count(), 0u) << name;
+    EXPECT_EQ(h0.count(), hn.count()) << name;
+    EXPECT_EQ(h0.sum(), hn.sum()) << name;
+    EXPECT_EQ(h0.min(), hn.min()) << name;
+    EXPECT_EQ(h0.max(), hn.max()) << name;
+    for (std::size_t b = 0; b < hn.bucket_count(); ++b) {
+      EXPECT_EQ(h0.bucket(b), hn.bucket(b)) << name << " bucket " << b;
+    }
+  }
 }
 
 // ---- Ledger ------------------------------------------------------------

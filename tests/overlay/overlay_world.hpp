@@ -21,6 +21,9 @@ struct WorldOptions {
   Seconds control_delay = 0.02;
   double control_sigma = 0.0;
   std::uint64_t seed = 1;
+  /// When positive, client i takes client (i % profile_cycle)'s profile
+  /// (hostname aside), so clients repeat a few profiles.
+  int profile_cycle = 0;
   ClientConfig client_config{};
   BrokerConfig broker_config{};
 };
@@ -44,7 +47,7 @@ struct OverlayWorld {
       p.loss_per_megabyte = options.loss_per_megabyte;
       p.uplink_mbps = 8.0;
       p.downlink_mbps = 8.0;
-      p.cpu_ghz = 1.0 + 0.1 * i;
+      p.cpu_ghz = 1.0 + 0.1 * (options.profile_cycle > 0 ? i % options.profile_cycle : i);
       p.base_load = 0.0;
       p.load_jitter = 0.0;
       topo.add_node(p);

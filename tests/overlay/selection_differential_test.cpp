@@ -11,7 +11,9 @@
 // defended brokers (reputation penalty, quarantine excludes, the lift
 // fallback) and econ-enabled brokers under random contracts and
 // objectives, the latter also against the frozen admission in
-// tests/econ/econ_reference.hpp.
+// tests/econ/econ_reference.hpp. The scan orders only the k peers it
+// answers; a top-k arm pins that bounded selection on tie-heavy
+// 64-client worlds, for k from 1 past the registry size.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 
 #include "core/selection_reference.hpp"
 #include "econ/econ_reference.hpp"
+#include "econ/scored_ranking.hpp"
 #include "overlay/overlay_world.hpp"
 #include "peerlab/core/blind.hpp"
 #include "peerlab/core/data_evaluator.hpp"
@@ -38,6 +41,7 @@ using testing::WorldOptions;
 
 constexpr int kSeeds = 24;
 constexpr int kClients = 8;
+constexpr int kTopKSeeds = 6;
 
 enum class ModelChoice { kBlind, kEconomic, kEvaluator, kUserPreference, kHybrid };
 
@@ -49,34 +53,37 @@ struct RefSet {
   std::unique_ptr<peerlab::testing::ReferenceHybrid> hybrid;
 };
 
-void install(ModelChoice choice, BrokerPeer& broker, RefSet& refs) {
+/// A production model and its frozen reference, both fresh. The
+/// user-preference order lists the clients from the last to the first.
+std::unique_ptr<core::SelectionModel> make_model(ModelChoice choice, RefSet& refs,
+                                                 int clients = kClients) {
   switch (choice) {
     case ModelChoice::kBlind:
-      broker.set_selection_model(std::make_unique<core::BlindModel>());
       refs.blind = std::make_unique<peerlab::testing::ReferenceBlind>();
-      break;
+      return std::make_unique<core::BlindModel>();
     case ModelChoice::kEconomic:
-      broker.set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
       refs.economic = std::make_unique<peerlab::testing::ReferenceEconomic>();
-      break;
+      return std::make_unique<core::EconomicSchedulingModel>();
     case ModelChoice::kEvaluator:
-      broker.set_selection_model(
-          std::make_unique<core::DataEvaluatorModel>(core::DataEvaluatorModel::same_priority()));
       refs.evaluator = std::make_unique<peerlab::testing::ReferenceEvaluator>(
           peerlab::testing::ReferenceEvaluator::same_priority());
-      break;
+      return std::make_unique<core::DataEvaluatorModel>(
+          core::DataEvaluatorModel::same_priority());
     case ModelChoice::kUserPreference: {
       std::vector<PeerId> order;
-      for (int i = kClients; i >= 1; --i) order.push_back(peer_of(NodeId(i + 1)));
-      broker.set_selection_model(std::make_unique<core::UserPreferenceModel>(order));
+      for (int i = clients; i >= 1; --i) order.push_back(peer_of(NodeId(i + 1)));
       refs.preference = std::make_unique<peerlab::testing::ReferenceUserPreference>(order);
-      break;
+      return std::make_unique<core::UserPreferenceModel>(order);
     }
     case ModelChoice::kHybrid:
-      broker.set_selection_model(std::make_unique<core::HybridModel>());
       refs.hybrid = std::make_unique<peerlab::testing::ReferenceHybrid>();
-      break;
+      return std::make_unique<core::HybridModel>();
   }
+  return nullptr;
+}
+
+void install(ModelChoice choice, BrokerPeer& broker, RefSet& refs, int clients = kClients) {
+  broker.set_selection_model(make_model(choice, refs, clients));
 }
 
 std::vector<PeerId> reference_select(ModelChoice choice, RefSet& refs,
@@ -138,7 +145,8 @@ StatsDelta fuzz_delta(std::mt19937_64& rng, PeerId subject, Seconds now) {
   return delta;
 }
 
-core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allow_excludes) {
+core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allow_excludes,
+                                    int clients = kClients) {
   core::SelectionContext ctx;
   ctx.now = now;
   if (rng() % 2 == 0) ctx.work = 0.5 * static_cast<double>(rng() % 30);
@@ -146,7 +154,7 @@ core::SelectionContext fuzz_context(std::mt19937_64& rng, Seconds now, bool allo
   if (allow_excludes && rng() % 3 == 0) {
     const int n = static_cast<int>(rng() % 4);
     for (int i = 0; i < n; ++i) {
-      ctx.exclude.push_back(peer_of(NodeId(static_cast<std::uint64_t>(rng() % kClients) + 2)));
+      ctx.exclude.push_back(peer_of(NodeId(static_cast<std::uint64_t>(rng() % clients) + 2)));
     }
   }
   return ctx;
@@ -254,10 +262,48 @@ std::vector<PeerId> reference_serve(ModelChoice choice, RefSet& refs,
   return ranking;
 }
 
+/// What the broker's scan path does, for a standalone model and engine:
+/// the same defended overlay and lift, then the first k of the model's
+/// scores or of admission.
+std::vector<PeerId> production_serve(core::SelectionModel& model, econ::EconEngine* engine,
+                                     const BrokerPeer& broker,
+                                     std::span<const core::PeerSnapshot> snaps,
+                                     const core::SelectionContext& ctx, std::size_t k) {
+  core::SelectionContext effective = ctx;
+  const std::size_t base = effective.exclude.size();
+  if (broker.defenses_enabled()) {
+    effective.reputation_weight = ReputationConfig{}.rank_penalty_weight;
+    broker.reputation().append_quarantined(ctx.now, effective.exclude);
+  }
+  std::vector<core::ScoredPeer> scored;
+  model.score_into(snaps, effective, scored);
+  if (scored.empty() && effective.exclude.size() > base) {
+    effective.exclude.resize(base);
+    model.score_into(snaps, effective, scored);
+  }
+  std::vector<PeerId> selected;
+  if (engine != nullptr && ctx.econ_constrained()) {
+    (void)engine->admit(snaps, scored, effective, k, selected);
+    for (const PeerId peer : selected) engine->note_assignment(peer, ctx.now);
+  } else {
+    core::append_best(scored, k, selected);
+  }
+  return selected;
+}
+
+/// The top-k arm's petition sizes: one, a few, the paper's 16 parts,
+/// the whole registry, and more than the registry holds.
+constexpr std::size_t kTopK[] = {1, 2, 16, 64, 67};
+constexpr int kTopKClients = 64;
+
 void run_scan_world(ScanArm arm, ModelChoice choice, std::uint64_t seed, int& lifts,
-                    int& quarantined_petitions, int& constrained) {
+                    int& quarantined_petitions, int& constrained, bool top_k = false) {
+  const int clients = top_k ? kTopKClients : kClients;
   WorldOptions options;
-  options.clients = kClients;
+  options.clients = clients;
+  // Four profiles shared round-robin: equal inputs score equal costs,
+  // so the peer id decides.
+  if (top_k) options.profile_cycle = 4;
   options.seed = seed;
   options.broker_config.reputation.enabled = arm != ScanArm::kEcon;
   options.broker_config.econ.enabled = arm != ScanArm::kDefended;
@@ -266,17 +312,32 @@ void run_scan_world(ScanArm arm, ModelChoice choice, std::uint64_t seed, int& li
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 7);
 
   RefSet refs;
-  install(choice, *world.broker, refs);
+  install(choice, *world.broker, refs, clients);
   std::unique_ptr<peerlab::testing::ReferenceEconEngine> engine;
   if (options.broker_config.econ.enabled) {
     engine = std::make_unique<peerlab::testing::ReferenceEconEngine>(options.broker_config.econ);
+  }
+  // Top-k arm: a standalone model and engine, in lockstep with the
+  // broker's, serve each petition again over a shuffled copy of the
+  // snapshots. The broker's snapshots come in peer order, where a
+  // candidate's position orders like its peer id; shuffled, a tie
+  // broken by position instead of by peer id shows.
+  RefSet unused_refs;
+  std::unique_ptr<core::SelectionModel> shuffled_model;
+  std::unique_ptr<econ::EconEngine> shuffled_engine;
+  std::mt19937_64 shuffle_rng(seed + 0x5eed);
+  if (top_k) {
+    shuffled_model = make_model(choice, unused_refs, clients);
+    if (options.broker_config.econ.enabled) {
+      shuffled_engine = std::make_unique<econ::EconEngine>(options.broker_config.econ);
+    }
   }
 
   const bool allow_excludes = choice != ModelChoice::kBlind;
   Seconds t = world.sim.now();
   for (int step = 0; step < 120; ++step) {
     if (rng() % 10 == 0) {
-      auto& client = world.client(rng() % kClients);
+      auto& client = world.client(rng() % clients);
       if (rng() % 2 == 0) {
         client.stop();
       } else {
@@ -286,15 +347,15 @@ void run_scan_world(ScanArm arm, ModelChoice choice, std::uint64_t seed, int& li
     if (rng() % 2 == 0) {
       // Counterparty-attributed outcomes (or, one time in four, a
       // self-report) feed the reputation book on a defended broker.
-      const std::uint64_t subject_node = rng() % kClients + 2;
-      const std::uint64_t reporter_node = rng() % 4 == 0 ? subject_node : rng() % kClients + 2;
+      const std::uint64_t subject_node = rng() % clients + 2;
+      const std::uint64_t reporter_node = rng() % 4 == 0 ? subject_node : rng() % clients + 2;
       world.broker->apply_stats(fuzz_delta(rng, peer_of(NodeId(subject_node)), world.sim.now()),
                                 peer_of(NodeId(reporter_node)));
     }
     t += 5.0 + static_cast<double>(rng() % 40);
     world.sim.run_until(t);
     if (rng() % 2 != 0) continue;
-    auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes);
+    auto ctx = fuzz_context(rng, world.sim.now(), allow_excludes, clients);
     if (engine != nullptr) fuzz_contract(rng, ctx);
     std::vector<PeerId> quarantined;
     world.broker->reputation().append_quarantined(ctx.now, quarantined);
@@ -302,7 +363,7 @@ void run_scan_world(ScanArm arm, ModelChoice choice, std::uint64_t seed, int& li
       // Exclude everyone the quarantine spares: the defended ranking
       // comes up empty and the broker must lift the quarantine.
       ctx.exclude.clear();
-      for (int i = 0; i < kClients; ++i) {
+      for (int i = 0; i < clients; ++i) {
         const PeerId peer = peer_of(NodeId(static_cast<std::uint64_t>(i) + 2));
         if (std::find(quarantined.begin(), quarantined.end(), peer) == quarantined.end()) {
           ctx.exclude.push_back(peer);
@@ -311,27 +372,35 @@ void run_scan_world(ScanArm arm, ModelChoice choice, std::uint64_t seed, int& li
     }
     quarantined_petitions += quarantined.empty() ? 0 : 1;
     constrained += ctx.econ_constrained() ? 1 : 0;
-    const std::size_t k = rng() % 4 + 1;
+    const std::size_t k = top_k ? kTopK[rng() % std::size(kTopK)] : rng() % 4 + 1;
     const auto snaps = world.broker->snapshot_group();
     const auto got = world.broker->select_peers(ctx, k);
     const auto want = reference_serve(choice, refs, engine.get(), *world.broker, snaps, ctx, k,
                                       lifts);
     ASSERT_EQ(got, want) << "seed=" << seed << " step=" << step
                          << " model=" << static_cast<int>(choice)
-                         << " arm=" << static_cast<int>(arm);
+                         << " arm=" << static_cast<int>(arm) << " k=" << k;
+    if (!top_k) continue;
+    auto shuffled = snaps;
+    std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
+    ASSERT_EQ(production_serve(*shuffled_model, shuffled_engine.get(), *world.broker, shuffled,
+                               ctx, k),
+              want)
+        << "shuffled seed=" << seed << " step=" << step << " model=" << static_cast<int>(choice)
+        << " arm=" << static_cast<int>(arm) << " k=" << k;
   }
 }
 
-void run_scan_arm(ScanArm arm) {
+void run_scan_arm(ScanArm arm, bool top_k = false) {
   const std::uint64_t base = peerlab::testing::test_seed();
   int lifts = 0;
   int quarantined_petitions = 0;
   int constrained = 0;
   for (const auto choice : {ModelChoice::kBlind, ModelChoice::kEconomic, ModelChoice::kEvaluator,
                             ModelChoice::kUserPreference, ModelChoice::kHybrid}) {
-    for (int i = 0; i < kSeeds; ++i) {
+    for (int i = 0; i < (top_k ? kTopKSeeds : kSeeds); ++i) {
       run_scan_world(arm, choice, base + static_cast<std::uint64_t>(i), lifts,
-                     quarantined_petitions, constrained);
+                     quarantined_petitions, constrained, top_k);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -412,9 +481,23 @@ TEST(SelectionDifferential, DefendedEconScanMatchesReference) {
   run_scan_arm(ScanArm::kDefendedEcon);
 }
 
+/// Bounded selection pin: on 64-client worlds of four repeated profiles
+/// (cost ties everywhere, decided by peer id), the scan's first k — of
+/// the model's scores or of admission — equals the frozen full ranking
+/// and frozen admission truncated to k, for k from 1 to past the
+/// registry, over every model and scan arm.
+TEST(SelectionDifferential, ScanTopKMatchesReference) {
+  for (const auto arm : {ScanArm::kDefended, ScanArm::kEcon, ScanArm::kDefendedEcon}) {
+    run_scan_arm(arm, /*top_k=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 /// Engine-level pin: admission over arbitrary (shuffled, so unsorted)
 /// candidate spans, with random hints outstanding, matches the frozen
-/// admission bit for bit — verdicts and re-ranked orders alike.
+/// admission bit for bit — verdicts and re-ranked orders alike. A twin
+/// engine asking for only the first k (k cycling 0 .. n + 1) must
+/// return that prefix and the same verdict.
 TEST(SelectionDifferential, EconAdmissionMatchesReferenceOnShuffledSpans) {
   const std::uint64_t base = peerlab::testing::test_seed();
   for (int i = 0; i < 200; ++i) {
@@ -448,7 +531,9 @@ TEST(SelectionDifferential, EconAdmissionMatchesReferenceOnShuffledSpans) {
     config.default_objective = static_cast<core::EconObjective>(rng() % 4 + 1);
     config.pricing.reputation_discount = 0.5;
     econ::EconEngine engine(config);
+    econ::EconEngine bounded(config);
     peerlab::testing::ReferenceEconEngine reference(config);
+    std::vector<PeerId> prefix;
     Seconds now = 200.0;
     for (int petition = 0; petition < 12; ++petition) {
       now += static_cast<double>(rng() % 20);
@@ -465,14 +550,24 @@ TEST(SelectionDifferential, EconAdmissionMatchesReferenceOnShuffledSpans) {
       }
       std::shuffle(ranking.begin(), ranking.end(), rng);
       auto want = ranking;
-      const auto got_verdict = engine.admit_and_rank(snaps, ctx, ranking);
+      const auto scored = peerlab::testing::scored_by_rank(snaps, ranking);
+      const auto got_verdict = engine.admit(snaps, scored, ctx, scored.size(), ranking);
       const auto want_verdict = reference.admit_and_rank(snaps, ctx, want);
       ASSERT_EQ(ranking, want) << "seed=" << seed << " petition=" << petition;
       ASSERT_EQ(got_verdict.appraised, want_verdict.appraised) << "seed=" << seed;
       ASSERT_EQ(got_verdict.feasible, want_verdict.feasible) << "seed=" << seed;
       ASSERT_EQ(got_verdict.exhausted, want_verdict.exhausted) << "seed=" << seed;
+      const std::size_t k = static_cast<std::size_t>(petition) % (scored.size() + 2);
+      const auto prefix_verdict = bounded.admit(snaps, scored, ctx, k, prefix);
+      ASSERT_EQ(prefix, std::vector<PeerId>(want.begin(),
+                                            want.begin() + static_cast<std::ptrdiff_t>(
+                                                               std::min(k, want.size()))))
+          << "seed=" << seed << " petition=" << petition << " k=" << k;
+      ASSERT_EQ(prefix_verdict.feasible, want_verdict.feasible) << "seed=" << seed;
+      ASSERT_EQ(prefix_verdict.exhausted, want_verdict.exhausted) << "seed=" << seed;
       for (std::size_t h = 0; h < std::min<std::size_t>(ranking.size(), 3); ++h) {
         engine.note_assignment(ranking[h], now);
+        bounded.note_assignment(ranking[h], now);
         reference.note_assignment(ranking[h], now);
       }
     }

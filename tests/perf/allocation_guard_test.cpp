@@ -41,6 +41,7 @@
 #include "peerlab/net/topology.hpp"
 #include "peerlab/sim/simulator.hpp"
 #include "peerlab/stats/history.hpp"
+#include "econ/scored_ranking.hpp"
 #include "overlay/overlay_world.hpp"
 
 namespace {
@@ -330,6 +331,7 @@ TEST(AllocationGuard, EconAdmissionIsAllocationFreeOnceWarmed) {
 
   std::vector<PeerId> model_order;
   for (auto it = pool.rbegin(); it != pool.rend(); ++it) model_order.push_back(it->peer);
+  const auto scored = peerlab::testing::scored_by_rank(pool, model_order);
   std::vector<PeerId> ranking;
   core::SelectionContext ctx;
   ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
@@ -343,8 +345,7 @@ TEST(AllocationGuard, EconAdmissionIsAllocationFreeOnceWarmed) {
     ctx.deadline = ctx.now + (i % 2 == 0 ? 30.0 : 1e6);
     ctx.budget = i % 3 == 0 ? 0.01 : 100.0;
     ctx.objective = static_cast<core::EconObjective>(i % 5);
-    ranking.assign(model_order.begin(), model_order.end());
-    const auto verdict = engine.admit_and_rank(pool, ctx, ranking);
+    const auto verdict = engine.admit(pool, scored, ctx, scored.size(), ranking);
     picks += verdict.feasible;
     engine.note_assignment(ranking.front(), ctx.now);
   };
@@ -381,13 +382,15 @@ std::size_t defended_econ_selection_allocations(int clients, int petitions) {
     world.sim.run_until(world.sim.now() + 1.0);
     ctx.now = world.sim.now();
     // Constrained (econ admission) and plain (defended scan) petitions
-    // alternate; one exclude rides along.
+    // alternate; one exclude rides along. Each arm asks for 1, 2 or 3
+    // peers, and for 16 one petition in four.
     ctx.deadline = i % 2 == 0 ? ctx.now + 600.0 : 0.0;
     ctx.budget = i % 2 == 0 ? 50.0 : 0.0;
     ctx.exclude.assign(1, PeerId(static_cast<std::uint64_t>(i % clients) + 2));
+    const std::size_t k = i % 8 >= 6 ? 16 : 1 + static_cast<std::size_t>(i % 3);
     g_allocations = 0;
     g_tracking = counted;
-    const auto selected = world.broker->select_peers(ctx, 1 + static_cast<std::size_t>(i % 3));
+    const auto selected = world.broker->select_peers(ctx, k);
     g_tracking = false;
     allocations += g_allocations;
     picks += selected.size();

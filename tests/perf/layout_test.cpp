@@ -30,10 +30,11 @@ namespace {
 static_assert(sizeof(sim::detail::EventSlot) == 64);
 static_assert(alignof(sim::detail::EventSlot) == 64);
 
-// The selection models sort slabs of ScoredPeer in the petition hot
-// loop; 16 bytes keeps four entries per cache line and the pair swap
-// branch-free in std::sort.
-static_assert(sizeof(core::ScoredPeer) == 16);
+// The selection models emit slabs of ScoredPeer in the petition hot
+// loop and the scan partially orders them: peer, cost and the
+// candidate's 32-bit position, 24 bytes with the tail padding, and
+// trivially copyable so the selection's swaps are plain moves.
+static_assert(sizeof(core::ScoredPeer) == 24);
 static_assert(std::is_trivially_copyable_v<core::ScoredPeer>);
 
 // small_vector must not pad its inline buffer: N inline elements, the
@@ -47,9 +48,11 @@ TEST(Layout, EventSlotIsOneCacheLine) {
   EXPECT_EQ(64u, alignof(sim::detail::EventSlot));
 }
 
-TEST(Layout, ScoredPeerPacksFourPerLine) {
-  EXPECT_EQ(16u, sizeof(core::ScoredPeer));
+TEST(Layout, ScoredPeerPacksPeerCostAndPosition) {
+  EXPECT_EQ(24u, sizeof(core::ScoredPeer));
   EXPECT_EQ(0u, offsetof(core::ScoredPeer, peer));
+  EXPECT_EQ(8u, offsetof(core::ScoredPeer, cost));
+  EXPECT_EQ(16u, offsetof(core::ScoredPeer, position));
 }
 
 TEST(Layout, SmallVectorInlineBufferIsTight) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "econ/scored_ranking.hpp"
 #include "peerlab/common/check.hpp"
 #include "peerlab/core/blind.hpp"
 #include "peerlab/core/hybrid.hpp"
@@ -168,7 +169,8 @@ TEST_P(EconAdmissionPropertyTest, AdmissionIsAFeasiblePrefixPermutation) {
     std::vector<PeerId> ranking;
     model.rank_into(candidates, ctx, ranking);
     std::vector<PeerId> before = ranking;
-    const auto verdict = engine.admit_and_rank(candidates, ctx, ranking);
+    const auto scored = peerlab::testing::scored_by_rank(candidates, ranking);
+    const auto verdict = engine.admit(candidates, scored, ctx, scored.size(), ranking);
     const std::string where = "seed=" + std::to_string(seed) +
                               " round=" + std::to_string(round);
 
@@ -201,8 +203,8 @@ TEST_P(EconAdmissionPropertyTest, AdmissionIsAFeasiblePrefixPermutation) {
     }
 
     // Deterministic replay: an identical engine makes identical calls.
-    std::vector<PeerId> ranking2 = before;
-    (void)replay.admit_and_rank(candidates, ctx, ranking2);
+    std::vector<PeerId> ranking2;
+    (void)replay.admit(candidates, scored, ctx, scored.size(), ranking2);
     EXPECT_EQ(ranking, ranking2) << where;
   }
 }
