@@ -15,6 +15,11 @@ newest committed BENCH_<N>.json snapshot:
   * selection_decisions_per_s geomean items/s of bench_micro_selection
   * broker_selections_per_s   geomean items/s of BM_BrokerSelect
                               (BrokerPeer::select_peers, 16 peers)
+  * petitions_per_s.<workload>
+                              end to end, with --ab-json only: the
+                              geomean over seeds of the change side's
+                              median e2ebench petitions_per_s in a
+                              scripts/ab.py --json run
 
 Typical use:
 
@@ -23,12 +28,16 @@ Typical use:
   scripts/bench_compare.py --threshold 0.10      # tolerate 10% regression
   scripts/bench_compare.py --from-json a.json b.json --emit
                                                  # distil saved runs instead of executing
+  scripts/bench_compare.py --emit --ab-json ab.json
+                                                 # also fold in scripts/ab.py's end-to-end medians
 
 Exits nonzero when any headline metric regresses by more than the
 threshold relative to the previous snapshot, or when a metric present
 in the baseline is missing from the candidate run entirely (a deleted
 or renamed benchmark must be an explicit decision, not a silent pass);
-that is what makes it usable as a CI tripwire.
+that is what makes it usable as a CI tripwire. The end-to-end headlines
+are only compared when --ab-json supplies them: a microbench-only run
+says nothing about them either way.
 
 The script can additionally diff observability exports (the
 <bench>.metrics.json files the figure benches write via peerlab::obs):
@@ -83,6 +92,23 @@ OBS_SELECTED = [
 
 def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+# The end-to-end metric folded in from scripts/ab.py, one headline per
+# e2ebench workload.
+E2E_METRIC = "petitions_per_s"
+
+
+def e2e_headlines(paths: list[pathlib.Path]) -> dict[str, float]:
+    """petitions_per_s.<workload> from scripts/ab.py --json outputs: the
+    geomean over seeds of the change side's median."""
+    headlines: dict[str, float] = {}
+    for path in paths:
+        summaries = json.loads(path.read_text())["summaries"][E2E_METRIC]
+        for workload, by_seed in summaries.items():
+            medians = [summary["change"][0] for summary in by_seed.values()]
+            headlines[f"{E2E_METRIC}.{workload}"] = geomean(medians)
+    return headlines
 
 
 # google-benchmark reports real_time in each record's "time_unit"
@@ -215,6 +241,9 @@ def main() -> int:
     parser.add_argument("--from-json", type=pathlib.Path, nargs="+", default=None,
                         help="distil saved --benchmark_format=json outputs instead of running")
     parser.add_argument("--label", default=None, help="free-form label stored in the snapshot")
+    parser.add_argument("--ab-json", type=pathlib.Path, nargs="+", default=None,
+                        help="scripts/ab.py --json outputs whose change-side medians "
+                             "become petitions_per_s.<workload> headlines")
     parser.add_argument("--obs-json", type=pathlib.Path, nargs="+", default=None,
                         help="peerlab::obs metrics exports to diff (advisory)")
     parser.add_argument("--obs-baseline", type=pathlib.Path, default=None,
@@ -232,6 +261,8 @@ def main() -> int:
         print("bench_compare: no benchmark records produced", file=sys.stderr)
         return 2
     metrics = distil(records)
+    if args.ab_json:
+        metrics.update(e2e_headlines(args.ab_json))
 
     snapshots = snapshot_paths(args.bench_dir)
     previous = None
@@ -260,7 +291,10 @@ def main() -> int:
     # both distilled headline metrics and individual benchmark names from
     # the snapshot's "benchmarks" map — before failing, so one run shows
     # everything that vanished instead of revealing it one fix at a time.
-    missing = sorted(set((previous or {}).get("metrics", {})) - set(metrics))
+    expected = set((previous or {}).get("metrics", {}))
+    if not args.ab_json:
+        expected = {m for m in expected if not m.startswith(E2E_METRIC + ".")}
+    missing = sorted(expected - set(metrics))
     current_names = {r["name"] for r in records}
     missing_benchmarks = sorted(set((previous or {}).get("benchmarks", {})) - current_names)
     if missing or missing_benchmarks:

@@ -15,11 +15,17 @@ ctest --test-dir build -j "$(nproc)" --timeout 180 --output-on-failure
 
 cmake -B build-asan -S . -DPEERLAB_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$(nproc)" \
-  --target test_net test_overlay test_adversary test_econ test_property test_flow_differential \
-  test_selection_differential bench_churn bench_adversarial bench_economic
+  --target test_net test_overlay test_stats test_adversary test_econ test_property \
+  test_flow_differential test_selection_differential bench_churn bench_adversarial bench_economic
 build-asan/tests/test_net \
   --gtest_filter='FaultPlan.*:FaultInjector.*:Network.*:FlowScheduler.*'
 build-asan/tests/test_overlay --gtest_filter='Failover.*:Distribution.*'
+# The broker's per-peer tables (history rows, reputation entries, the
+# client registry) are indexed by peer id: the suites that grow, copy,
+# export and adopt them run sanitized.
+build-asan/tests/test_stats
+build-asan/tests/test_overlay \
+  --gtest_filter='Broker.*:BrokerDefense.*:ReputationBook.*:ReplicaSet.*:ReplicaFailover.*'
 # Adversarial actuation paths sanitized: scripted refusals, flapper
 # aborts and doctored heartbeats all tear down transfer state from
 # inside callbacks, exactly where use-after-frees would hide.

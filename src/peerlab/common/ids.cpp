@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "peerlab/common/check.hpp"
+
 namespace peerlab {
 
 namespace {
@@ -19,5 +21,11 @@ std::string to_string(TaskId id) { return render("task", id.value()); }
 std::string to_string(TransferId id) { return render("xfer", id.value()); }
 std::string to_string(FlowId id) { return render("flow", id.value()); }
 std::string to_string(AdvertisementId id) { return render("adv", id.value()); }
+
+std::size_t dense_index(PeerId peer) {
+  PEERLAB_CHECK_MSG(peer.value() < kDensePeerIds,
+                    "peer id out of the dense per-peer range: " + to_string(peer));
+  return static_cast<std::size_t>(peer.value());
+}
 
 }  // namespace peerlab

@@ -80,6 +80,16 @@ class IdAllocator {
   std::uint64_t last_ = 0;
 };
 
+/// Bound on the peer ids a peer-indexed table accepts (DESIGN.md §13).
+/// Peer ids are node ids, dense from 1, so the broker keeps its per-peer
+/// state in tables indexed by id; a corrupt id fails a check instead of
+/// growing a table by gigabytes.
+inline constexpr std::uint64_t kDensePeerIds = std::uint64_t{1} << 22;
+
+/// `peer`'s row in a peer-indexed table; fails a check at or past
+/// kDensePeerIds.
+[[nodiscard]] std::size_t dense_index(PeerId peer);
+
 /// Renders an id for logs, e.g. "peer#42"; defined per family.
 std::string to_string(NodeId id);
 std::string to_string(PeerId id);

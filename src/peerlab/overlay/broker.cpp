@@ -58,44 +58,47 @@ BrokerPeer::~BrokerPeer() {
   endpoint_.clear_handler(transport::MessageType::kStatsReport);
 }
 
-BrokerPeer::Records& BrokerPeer::records_for(PeerId peer) {
-  const std::uint64_t i = peer.value();
-  PEERLAB_CHECK_MSG(i < kDenseIds, "peer id out of the broker's dense range: " + to_string(peer));
-  if (i >= dense_.size()) dense_.resize(i + 1);
-  return dense_[i];
+BrokerPeer::PeerRow& BrokerPeer::row_for(PeerId peer) {
+  const std::size_t i = dense_index(peer);
+  if (i >= registry_.size()) registry_.resize(i + 1);
+  return registry_[i];
 }
 
-void BrokerPeer::rebuild_records() {
-  dense_.clear();
-  for (auto& [peer, record] : clients_) records_for(peer).client = &record;
-  for (auto& [peer, s] : statistics_) records_for(peer).statistics = &s;
+void BrokerPeer::register_client(PeerRow& row, const ClientRecord& record) {
+  const auto& profile = topology().node(record.node).profile();
+  row.client = record;
+  row.cpu_ghz = profile.cpu_ghz;
+  row.price_per_cpu_second = profile.price_per_cpu_second;
+  ++registered_;
 }
 
 stats::PeerStatistics& BrokerPeer::statistics_for(PeerId peer) {
-  Records& slot = records_for(peer);
-  if (slot.statistics == nullptr) {
-    slot.statistics = &statistics_.try_emplace(peer, config_.stats_window).first->second;
+  PeerRow& row = row_for(peer);
+  if (row.statistics == nullptr) {
+    row.statistics = std::make_unique<stats::PeerStatistics>(config_.stats_window);
   }
   // Every statistics mutation funnels through here; telling the index
   // keeps its cached evaluator keys coherent (O(1), re-key is lazy).
-  if (index_active_) index_.note_statistics(peer, slot.statistics);
-  return *slot.statistics;
+  if (index_active_) index_.note_statistics(peer, row.statistics.get());
+  return *row.statistics;
 }
 
 const stats::PeerStatistics* BrokerPeer::find_statistics(PeerId peer) const {
-  const Records* slot = find_records(peer);
-  return slot != nullptr ? slot->statistics : nullptr;
+  const PeerRow* row = find_row(peer);
+  return row != nullptr ? row->statistics.get() : nullptr;
 }
 
 const BrokerPeer::ClientRecord* BrokerPeer::client(PeerId peer) const {
-  const Records* slot = find_records(peer);
-  return slot != nullptr ? slot->client : nullptr;
+  const PeerRow* row = find_row(peer);
+  return row != nullptr && row->registered() ? &row->client : nullptr;
 }
 
 std::vector<PeerId> BrokerPeer::registered_clients() const {
   std::vector<PeerId> out;
-  out.reserve(clients_.size());
-  for (const auto& [peer, record] : clients_) out.push_back(peer);
+  out.reserve(registered_);
+  for (const PeerRow& row : registry_) {
+    if (row.registered()) out.push_back(row.client.peer);
+  }
   return out;
 }
 
@@ -112,29 +115,23 @@ void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model
 
 void BrokerPeer::fill_snapshots(std::vector<core::PeerSnapshot>& out) const {
   out.clear();
-  out.reserve(clients_.size());
-  const auto& nodes = topology();
+  out.reserve(registered_);
   const Seconds now = sim().now();
-  // Both maps are ordered by peer, so the statistics cursor only ever
-  // moves forward.
-  auto stats_it = statistics_.begin();
-  for (const auto& [peer, record] : clients_) {
-    while (stats_it != statistics_.end() && stats_it->first < peer) ++stats_it;
+  for (const PeerRow& row : registry_) {
+    if (!row.registered()) continue;
+    const ClientRecord& record = row.client;
     core::PeerSnapshot& snap = out.emplace_back();
-    snap.peer = peer;
+    snap.peer = record.peer;
     snap.node = record.node;
-    const auto& profile = nodes.node(record.node).profile();
-    snap.cpu_ghz = profile.cpu_ghz;
-    snap.price_per_cpu_second = profile.price_per_cpu_second;
+    snap.cpu_ghz = row.cpu_ghz;
+    snap.price_per_cpu_second = row.price_per_cpu_second;
     snap.online = online(record, now);
     snap.idle = record.idle;
     snap.queued_tasks = record.backlog;
     snap.active_transfers = record.pending_transfers;
-    if (stats_it != statistics_.end() && stats_it->first == peer) {
-      snap.statistics = &stats_it->second;
-    }
+    snap.statistics = row.statistics.get();
     snap.history = &history_;
-    if (config_.reputation.enabled) snap.reputation = reputation_.score(peer, now);
+    if (config_.reputation.enabled) snap.reputation = reputation_.score(record.peer, now);
   }
 }
 
@@ -319,23 +316,37 @@ void BrokerPeer::apply_replicated(const StatsDelta& delta) {
 }
 
 void BrokerPeer::begin_session() {
-  for (auto& [peer, s] : statistics_) s.begin_session();
+  for (PeerRow& row : registry_) {
+    if (row.statistics != nullptr) row.statistics->begin_session();
+  }
   if (index_active_) index_.mark_all_dirty();
 }
 
 BrokerPeer::ReplicatedState BrokerPeer::export_state() const {
   ReplicatedState state;
-  state.clients = clients_;
-  state.statistics = statistics_;
+  state.peers.resize(registry_.size());
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const PeerRow& row = registry_[i];
+    if (row.registered()) state.peers[i].client = row.client;
+    if (row.statistics != nullptr) state.peers[i].statistics = *row.statistics;
+  }
   state.history = history_;
   return state;
 }
 
 void BrokerPeer::adopt_state(ReplicatedState state) {
-  clients_ = std::move(state.clients);
-  statistics_ = std::move(state.statistics);
+  registry_.clear();
+  registry_.resize(state.peers.size());
+  registered_ = 0;
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    ReplicatedState::Peer& peer = state.peers[i];
+    PeerRow& row = registry_[i];
+    if (peer.client) register_client(row, *peer.client);
+    if (peer.statistics) {
+      row.statistics = std::make_unique<stats::PeerStatistics>(std::move(*peer.statistics));
+    }
+  }
   history_ = std::move(state.history);
-  rebuild_records();
   // HistoryStore assignment moves data only — this broker's mutation
   // observer stays installed — but every cached statistics pointer and
   // key is now stale: rebuild the index from the adopted registry.
@@ -347,13 +358,15 @@ void BrokerPeer::rebuild_index() {
   index_.set_history(&history_);
   history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });
   index_.bind_model(model_.get());
-  for (const auto& [peer, record] : clients_) upsert_index(peer, record);
+  for (const PeerRow& row : registry_) {
+    if (row.registered()) upsert_index(row);
+  }
 }
 
-void BrokerPeer::upsert_index(PeerId peer, const ClientRecord& record) {
-  const auto& profile = topology().node(record.node).profile();
-  index_.upsert_peer(peer, record.node, profile.cpu_ghz, profile.price_per_cpu_second,
-                     find_statistics(peer), record.last_seen, record.idle, record.backlog,
+void BrokerPeer::upsert_index(const PeerRow& row) {
+  const ClientRecord& record = row.client;
+  index_.upsert_peer(record.peer, record.node, row.cpu_ghz, row.price_per_cpu_second,
+                     row.statistics.get(), record.last_seen, record.idle, record.backlog,
                      record.pending_transfers);
 }
 
@@ -361,21 +374,22 @@ void BrokerPeer::on_heartbeat(const transport::Message& m) {
   ++heartbeats_;
   if (m_.heartbeats != nullptr) m_.heartbeats->add(1);
   const PeerId peer(m.correlation);
-  Records& slot = records_for(peer);
-  if (slot.client == nullptr) {
-    slot.client = &clients_.try_emplace(peer).first->second;
-    slot.client->peer = peer;
-    slot.client->node = m.src;
-    slot.client->first_seen = sim().now();
+  PeerRow& row = row_for(peer);
+  if (!row.registered()) {
+    ClientRecord record;
+    record.peer = peer;
+    record.node = m.src;
+    record.first_seen = sim().now();
+    register_client(row, record);
     PEERLAB_LOG(kInfo, "broker") << "registered " << to_string(peer) << " on "
                                  << to_string(m.src);
   }
-  ClientRecord& record = *slot.client;
+  ClientRecord& record = row.client;
   record.last_seen = sim().now();
   record.backlog = static_cast<int>(m.seq);
   record.pending_transfers = static_cast<int>(m.arg / 2);
   record.idle = (m.arg % 2) == 1;
-  if (index_active_) upsert_index(peer, record);
+  if (index_active_) upsert_index(row);
 }
 
 void BrokerPeer::on_stats_report(const transport::Message& m) {

@@ -11,6 +11,7 @@
 // stores.
 
 #include <memory>
+#include <optional>
 
 #include "peerlab/core/blind.hpp"
 #include "peerlab/core/candidate_index.hpp"
@@ -81,8 +82,9 @@ class BrokerPeer {
     return endpoint_.fabric().network().topology();
   }
 
-  /// Statistics record for a peer (created on first touch). Both
-  /// lookups, like client(), are one dense-table read.
+  /// Statistics record for a peer (created on first touch; rejects a
+  /// peer id at or past kDensePeerIds with a check). Both lookups, like
+  /// client(), are one registry-row read.
   [[nodiscard]] stats::PeerStatistics& statistics_for(PeerId peer);
   [[nodiscard]] const stats::PeerStatistics* find_statistics(PeerId peer) const;
 
@@ -166,8 +168,12 @@ class BrokerPeer {
   /// registry, per-peer statistics and the history store. Plain data,
   /// copied wholesale by anti-entropy snapshots.
   struct ReplicatedState {
-    std::map<PeerId, ClientRecord> clients;
-    std::map<PeerId, stats::PeerStatistics> statistics;
+    /// One entry per registry row (index = peer id).
+    struct Peer {
+      std::optional<ClientRecord> client;
+      std::optional<stats::PeerStatistics> statistics;
+    };
+    std::vector<Peer> peers;
     stats::HistoryStore history;
   };
   [[nodiscard]] ReplicatedState export_state() const;
@@ -215,31 +221,37 @@ class BrokerPeer {
     obs::WallProfiler::Site* rank_site = nullptr;
   };
 
-  /// Pointers into the two ordered maps for one peer id (see dense_).
-  struct Records {
-    ClientRecord* client = nullptr;
-    stats::PeerStatistics* statistics = nullptr;
+  /// Everything the broker keeps about one peer id (DESIGN.md §13).
+  struct PeerRow {
+    /// Filled by the peer's first heartbeat; `client.peer` is invalid
+    /// until then.
+    ClientRecord client;
+    /// Copied from the node profile at registration.
+    GigaHertz cpu_ghz = 1.0;
+    double price_per_cpu_second = 1.0;
+    /// Made on the first statistics touch, and never moved: the
+    /// candidate index and every snapshot hold this address while the
+    /// registry grows.
+    std::unique_ptr<stats::PeerStatistics> statistics;
+
+    [[nodiscard]] bool registered() const noexcept { return client.peer.valid(); }
   };
-  /// Bound on peer ids (peer ids are node ids, dense from 1), so a
-  /// corrupt id fails a check instead of growing the table.
-  static constexpr std::uint64_t kDenseIds = std::uint64_t{1} << 22;
-  /// The dense entry of `peer`, growing the table.
-  [[nodiscard]] Records& records_for(PeerId peer);
-  /// The dense entry of `peer` without growing; nullptr when the table
-  /// does not reach it.
-  [[nodiscard]] const Records* find_records(PeerId peer) const noexcept {
-    return peer.value() < dense_.size() ? &dense_[peer.value()] : nullptr;
+  /// The row of `peer`, growing the registry.
+  [[nodiscard]] PeerRow& row_for(PeerId peer);
+  /// The row of `peer`; nullptr when the registry does not reach it.
+  [[nodiscard]] const PeerRow* find_row(PeerId peer) const noexcept {
+    return peer.value() < registry_.size() ? &registry_[peer.value()] : nullptr;
   }
-  /// Re-derives the dense table from the maps (adopted state).
-  void rebuild_records();
+  /// Fills a row's client record and copies its node's profile.
+  void register_client(PeerRow& row, const ClientRecord& record);
 
   void on_heartbeat(const transport::Message& m);
   void on_stats_report(const transport::Message& m);
   [[nodiscard]] bool online(const ClientRecord& record, Seconds now) const noexcept {
     return now - record.last_seen <= config_.heartbeat_interval * config_.offline_after_missed;
   }
-  /// Refills `out` with every registered client's view: one ordered
-  /// walk of the registry with the statistics map walked in lockstep.
+  /// Refills `out` with every registered client's view: one walk of the
+  /// registry in peer order.
   void fill_snapshots(std::vector<core::PeerSnapshot>& out) const;
   /// The scan step of every non-index selection: refills snapshots_,
   /// builds the defended context (reputation penalty and quarantine
@@ -251,7 +263,7 @@ class BrokerPeer {
   void audit_index_selection(const core::SelectionContext& context, std::size_t k,
                              const std::vector<PeerId>& picked);
   /// Registers or refreshes one client with the index.
-  void upsert_index(PeerId peer, const ClientRecord& record);
+  void upsert_index(const PeerRow& row);
   /// Re-registers every client with the index (adopted state).
   void rebuild_index();
   void serve_selection(const transport::Message& m);
@@ -285,13 +297,8 @@ class BrokerPeer {
   obs::trace::TraceRecorder* trace_ = nullptr;
   std::uint64_t audit_clock_ = 0;
   DeltaObserver delta_observer_;
-  // The registry and the statistics, ordered by peer: fill_snapshots
-  // walks both in lockstep, and the candidate index caches statistics
-  // pointers, which map nodes keep stable. `dense_` (index = peer id)
-  // points into both, so the per-heartbeat handlers skip the tree walks.
-  std::map<PeerId, ClientRecord> clients_;
-  std::map<PeerId, stats::PeerStatistics> statistics_;
-  std::vector<Records> dense_;
+  std::vector<PeerRow> registry_;  // index = peer id
+  std::size_t registered_ = 0;     // rows with a client record
   std::vector<NodeId> peer_brokers_;
   std::uint64_t federated_queries_ = 0;
   std::uint64_t heartbeats_ = 0;

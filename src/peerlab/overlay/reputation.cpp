@@ -23,28 +23,26 @@ double ReputationBook::projected(const Entry& entry, Seconds now) const {
 }
 
 double ReputationBook::score(PeerId peer, Seconds now) const {
-  const auto it = entries_.find(peer);
-  if (it == entries_.end()) return config_.initial;
-  return projected(it->second, now);
+  const Entry* entry = find(peer);
+  return entry == nullptr ? config_.initial : projected(*entry, now);
 }
 
 bool ReputationBook::quarantined(PeerId peer, Seconds now) const {
-  const auto it = entries_.find(peer);
-  return it != entries_.end() && now < it->second.quarantine_until;
+  const Entry* entry = find(peer);
+  return entry != nullptr && now < entry->quarantine_until;
 }
 
 void ReputationBook::append_quarantined(Seconds now, std::vector<PeerId>& out) const {
-  for (const auto& [peer, entry] : entries_) {
-    if (now < entry.quarantine_until) out.push_back(peer);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (now < entries_[i].quarantine_until) out.emplace_back(i);
   }
 }
 
 void ReputationBook::adjust(PeerId peer, Seconds now, double delta) {
-  auto it = entries_.find(peer);
-  if (it == entries_.end()) {
-    it = entries_.emplace(peer, Entry{config_.initial, now, 0.0, 0.0}).first;
-  }
-  Entry& entry = it->second;
+  const std::size_t i = dense_index(peer);
+  if (i >= entries_.size()) entries_.resize(i + 1);
+  Entry& entry = entries_[i];
+  if (!entry.observed) entry = Entry{config_.initial, now, 0.0, 0.0, true};
   const double value = projected(entry, now);
   if (entry.quarantine_until > 0.0 && now >= entry.quarantine_until) {
     entry.quarantine_until = 0.0;  // quarantine served, probation folded in
@@ -84,8 +82,8 @@ void ReputationBook::record_transfer(PeerId peer, const stats::TransferRecord& r
     return;
   }
   const MbitPerSec rate = record.achieved_rate();
-  auto it = entries_.find(peer);
-  const MbitPerSec ewma = it != entries_.end() ? it->second.rate_ewma : 0.0;
+  const Entry* seen = find(peer);
+  const MbitPerSec ewma = seen != nullptr ? seen->rate_ewma : 0.0;
   if (ewma > 0.0 && rate < config_.shortfall_threshold * ewma) {
     // Completed but far below the peer's own demonstrated throughput:
     // the signature of a throttling free-rider, not a slow link (the
@@ -96,7 +94,7 @@ void ReputationBook::record_transfer(PeerId peer, const stats::TransferRecord& r
   } else {
     record_success(peer, now);
   }
-  auto& entry = entries_[peer];
+  Entry& entry = entries_[peer.value()];  // observed by now
   entry.rate_ewma = entry.rate_ewma > 0.0 ? 0.7 * entry.rate_ewma + 0.3 * rate : rate;
 }
 

@@ -20,10 +20,8 @@
 // deterministic function of the observation sequence — no RNG — so
 // seeded runs replay bit-for-bit.
 
-#include <unordered_map>
-#include <vector>
-
 #include <functional>
+#include <vector>
 
 #include "peerlab/common/ids.hpp"
 #include "peerlab/common/units.hpp"
@@ -70,6 +68,7 @@ class ReputationBook {
   explicit ReputationBook(ReputationConfig config = {}) : config_(config) {}
 
   // ---- observation feed ----
+  // Each rejects a peer id at or past kDensePeerIds with a check.
   void record_success(PeerId peer, Seconds now);
   void record_failure(PeerId peer, Seconds now);
   /// Protocol violation in the reporting path (self-praise).
@@ -83,7 +82,8 @@ class ReputationBook {
   /// Decayed score at `now`; `initial` for unknown peers.
   [[nodiscard]] double score(PeerId peer, Seconds now) const;
   [[nodiscard]] bool quarantined(PeerId peer, Seconds now) const;
-  /// Appends every currently-quarantined peer to `out`.
+  /// Appends every currently-quarantined peer to `out`, in ascending id
+  /// order.
   void append_quarantined(Seconds now, std::vector<PeerId>& out) const;
 
   [[nodiscard]] const ReputationConfig& config() const noexcept { return config_; }
@@ -113,6 +113,8 @@ class ReputationBook {
     Seconds quarantine_until = 0.0;
     /// EWMA of measured transfer rates; <= 0 = no observation yet.
     MbitPerSec rate_ewma = 0.0;
+    /// False until the peer's first observation: its score is `initial`.
+    bool observed = false;
   };
 
   /// Cached instrument handles; all null while detached.
@@ -130,11 +132,16 @@ class ReputationBook {
   /// Decays the entry to `now`, applies `delta`, arms quarantine when
   /// the result crosses the threshold.
   void adjust(PeerId peer, Seconds now, double delta);
+  /// The peer's entry if it was ever observed.
+  [[nodiscard]] const Entry* find(PeerId peer) const noexcept {
+    const std::uint64_t i = peer.value();
+    return i < entries_.size() && entries_[i].observed ? &entries_[i] : nullptr;
+  }
 
   ReputationConfig config_;
   Metrics m_;
   QuarantineObserver quarantine_observer_;
-  std::unordered_map<PeerId, Entry> entries_;
+  std::vector<Entry> entries_;  // index = peer id
   std::uint64_t failures_ = 0;
   std::uint64_t successes_ = 0;
   std::uint64_t lies_ = 0;

@@ -15,52 +15,42 @@ HistoryStore::HistoryStore(std::size_t per_peer_capacity) : capacity_(per_peer_c
   PEERLAB_CHECK_MSG(capacity_ > 0, "history needs capacity");
 }
 
-HistoryStore::HistoryStore(const HistoryStore& other)
-    : capacity_(other.capacity_), peers_(other.peers_) {}
-
-HistoryStore& HistoryStore::operator=(const HistoryStore& other) {
-  capacity_ = other.capacity_;
-  peers_ = other.peers_;
-  return *this;  // observer_ untouched: bound to this instance
+HistoryStore::Row& HistoryStore::touch(PeerId peer) {
+  const std::size_t i = dense_index(peer);
+  if (i >= rows_.size()) rows_.resize(i + 1);
+  Row& row = rows_[i];
+  std::fill(std::begin(row.memo), std::end(row.memo), Row::kStale);
+  return row;
 }
 
-HistoryStore::HistoryStore(HistoryStore&& other) noexcept
-    : capacity_(other.capacity_), peers_(std::move(other.peers_)) {}
-
-HistoryStore& HistoryStore::operator=(HistoryStore&& other) noexcept {
-  capacity_ = other.capacity_;
-  peers_ = std::move(other.peers_);
-  return *this;  // observer_ untouched: bound to this instance
-}
-
-HistoryStore::PeerHistory& HistoryStore::touch(PeerId peer) {
-  PeerHistory& history = peers_[peer];
-  history.memo = {};
-  return history;
-}
-
-const HistoryStore::PeerHistory* HistoryStore::find(PeerId peer) const {
-  const auto it = peers_.find(peer);
-  return it == peers_.end() ? nullptr : &it->second;
+template <typename T>
+void HistoryStore::append(Pool<T>& pool, std::uint32_t& handle, const T& value) {
+  if (handle == 0) {
+    pool.emplace_back();
+    handle = static_cast<std::uint32_t>(pool.size());
+  }
+  std::deque<T>& records = pool[handle - 1];
+  records.push_back(value);
+  while (records.size() > capacity_) records.pop_front();
 }
 
 void HistoryStore::record_task(const TaskRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "task record needs a peer");
   PEERLAB_CHECK_MSG(record.finished >= record.started && record.started >= record.submitted,
                     "task record times out of order");
-  append(touch(record.peer).tasks, record);
+  append(tasks_, touch(record.peer).fifo[kTasks], record);
   notify(record.peer);
 }
 
 void HistoryStore::record_transfer(const TransferRecord& record) {
   PEERLAB_CHECK_MSG(record.peer.valid(), "transfer record needs a peer");
-  append(touch(record.peer).transfers, record);
+  append(transfers_, touch(record.peer).fifo[kTransfers], record);
   notify(record.peer);
 }
 
 void HistoryStore::record_response_time(PeerId peer, Seconds elapsed) {
   PEERLAB_CHECK_MSG(peer.valid() && elapsed >= 0.0, "bad response-time record");
-  append(touch(peer).responses, elapsed);
+  append(responses_, touch(peer).fifo[kResponses], elapsed);
   notify(peer);
 }
 
@@ -68,9 +58,9 @@ namespace {
 /// Averages f over the last `last_n` entries of `records` that satisfy
 /// `use`; nullopt when none qualify (or the kind was never recorded).
 template <typename T, typename Use, typename Extract>
-std::optional<double> tail_mean(const std::optional<std::deque<T>>& records, std::size_t last_n,
-                                Use use, Extract extract) {
-  if (!records) return std::nullopt;
+std::optional<double> tail_mean(const std::deque<T>* records, std::size_t last_n, Use use,
+                                Extract extract) {
+  if (records == nullptr) return std::nullopt;
   double sum = 0.0;
   std::size_t n = 0;
   for (auto it = records->rbegin(); it != records->rend() && n < last_n; ++it) {
@@ -83,81 +73,70 @@ std::optional<double> tail_mean(const std::optional<std::deque<T>>& records, std
 }
 }  // namespace
 
-template <typename Compute>
-std::optional<double> HistoryStore::memoized(PeerId peer, Estimator e, std::size_t last_n,
-                                             Compute compute) const {
-  const PeerHistory* history = find(peer);
-  if (history == nullptr) return std::nullopt;
-  Memo& memo = history->memo[e];
-  if (!memo.valid || memo.last_n != last_n) memo = {true, last_n, compute(*history)};
-  return memo.value;
-}
-
-std::optional<Seconds> HistoryStore::mean_execution_time(PeerId peer, std::size_t last_n) const {
-  return memoized(peer, kExecution, last_n, [last_n](const PeerHistory& h) {
-    return tail_mean(
-        h.tasks, last_n, [](const TaskRecord& r) { return r.ok; },
-        [](const TaskRecord& r) { return r.execution_time(); });
-  });
-}
-
-std::optional<GigaHertz> HistoryStore::mean_effective_speed(PeerId peer,
-                                                            std::size_t last_n) const {
-  return memoized(peer, kSpeed, last_n, [last_n](const PeerHistory& h) {
-    return tail_mean(
-        h.tasks, last_n,
-        [](const TaskRecord& r) { return r.ok && r.execution_time() > 0.0 && r.work > 0.0; },
-        [](const TaskRecord& r) { return r.work / r.execution_time(); });
-  });
-}
-
-std::optional<MbitPerSec> HistoryStore::mean_transfer_rate(PeerId peer,
-                                                           std::size_t last_n) const {
-  return memoized(peer, kRate, last_n, [last_n](const PeerHistory& h) {
-    return tail_mean(
-        h.transfers, last_n, [](const TransferRecord& r) { return r.ok && r.duration > 0.0; },
-        [](const TransferRecord& r) { return r.achieved_rate(); });
-  });
-}
-
-std::optional<Seconds> HistoryStore::mean_response_time(PeerId peer, std::size_t last_n) const {
-  return memoized(peer, kResponse, last_n, [last_n](const PeerHistory& h) {
-    return tail_mean(
-        h.responses, last_n, [](Seconds) { return true; }, [](Seconds s) { return s; });
-  });
+void HistoryStore::refresh(const Row& row, Estimator e, std::uint32_t depth) const {
+  std::optional<double> mean;
+  switch (e) {
+    case kExecution:
+      mean = tail_mean(
+          fifo(tasks_, row.fifo[kTasks]), depth, [](const TaskRecord& r) { return r.ok; },
+          [](const TaskRecord& r) { return r.execution_time(); });
+      break;
+    case kSpeed:
+      mean = tail_mean(
+          fifo(tasks_, row.fifo[kTasks]), depth,
+          [](const TaskRecord& r) { return r.ok && r.execution_time() > 0.0 && r.work > 0.0; },
+          [](const TaskRecord& r) { return r.work / r.execution_time(); });
+      break;
+    case kRate:
+      mean = tail_mean(
+          fifo(transfers_, row.fifo[kTransfers]), depth,
+          [](const TransferRecord& r) { return r.ok && r.duration > 0.0; },
+          [](const TransferRecord& r) { return r.achieved_rate(); });
+      break;
+    case kResponse:
+      mean = tail_mean(
+          fifo(responses_, row.fifo[kResponses]), depth, [](Seconds) { return true; },
+          [](Seconds s) { return s; });
+      break;
+  }
+  row.last_n[e] = depth;
+  row.memo[e] = mean ? Row::kValue : Row::kEmpty;
+  row.value[e] = mean.value_or(0.0);
 }
 
 double HistoryStore::task_success_rate(PeerId peer) const {
-  const PeerHistory* history = find(peer);
-  if (history == nullptr || !history->tasks) return 1.0;
-  const auto& tasks = *history->tasks;
+  const auto* tasks = fifo(tasks_, peer, kTasks);
+  if (tasks == nullptr) return 1.0;
   const auto ok =
-      std::count_if(tasks.begin(), tasks.end(), [](const TaskRecord& r) { return r.ok; });
-  return static_cast<double>(ok) / static_cast<double>(tasks.size());
+      std::count_if(tasks->begin(), tasks->end(), [](const TaskRecord& r) { return r.ok; });
+  return static_cast<double>(ok) / static_cast<double>(tasks->size());
 }
 
 std::vector<TaskRecord> HistoryStore::tasks_for(PeerId peer) const {
-  const PeerHistory* history = find(peer);
-  if (history == nullptr || !history->tasks) return {};
-  return {history->tasks->begin(), history->tasks->end()};
+  const auto* tasks = fifo(tasks_, peer, kTasks);
+  if (tasks == nullptr) return {};
+  return {tasks->begin(), tasks->end()};
 }
 
 std::vector<TransferRecord> HistoryStore::transfers_for(PeerId peer) const {
-  const PeerHistory* history = find(peer);
-  if (history == nullptr || !history->transfers) return {};
-  return {history->transfers->begin(), history->transfers->end()};
+  const auto* transfers = fifo(transfers_, peer, kTransfers);
+  if (transfers == nullptr) return {};
+  return {transfers->begin(), transfers->end()};
 }
 
 std::size_t HistoryStore::task_count(PeerId peer) const {
-  const PeerHistory* history = find(peer);
-  return history == nullptr || !history->tasks ? 0 : history->tasks->size();
+  const auto* tasks = fifo(tasks_, peer, kTasks);
+  return tasks == nullptr ? 0 : tasks->size();
 }
 
 std::vector<PeerId> HistoryStore::known_peers() const {
   std::vector<PeerId> peers;
-  peers.reserve(peers_.size());
-  for (const auto& [peer, history] : peers_) peers.push_back(peer);
-  std::sort(peers.begin(), peers.end());
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const Row& row = rows_[i];
+    if (row.fifo[kTasks] != 0 || row.fifo[kTransfers] != 0 || row.fifo[kResponses] != 0) {
+      peers.emplace_back(i);
+    }
+  }
   return peers;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "overlay_world.hpp"
+#include "peerlab/common/check.hpp"
 #include "peerlab/core/economic.hpp"
 
 namespace peerlab::overlay {
@@ -187,6 +188,91 @@ TEST(Broker, BeginSessionResetsSessionScopedStats) {
   const auto& s = w.broker->statistics_for(PeerId(2));
   EXPECT_DOUBLE_EQ(s.value(stats::Criterion::kMsgSuccessSession, w.sim.now()), 100.0);
   EXPECT_DOUBLE_EQ(s.value(stats::Criterion::kMsgSuccessTotal, w.sim.now()), 0.0);
+}
+
+TEST(Broker, ExportAdoptRoundTripsTheRegistry) {
+  WorldOptions opts;
+  opts.clients = 4;
+  OverlayWorld primary(opts);
+  primary.boot();
+  StatsDelta delta;
+  delta.subject = PeerId(3);
+  delta.msg_ok = 3;
+  delta.msg_fail = 1;
+  delta.file_done = 2;
+  delta.response_times = {0.25, 0.5};
+  primary.broker->apply_stats(delta);
+  // A counterparty report about a peer that never heartbeated here:
+  // statistics without a client record.
+  StatsDelta stranger;
+  stranger.subject = PeerId(40);
+  stranger.exec_fail = 2;
+  primary.broker->apply_stats(stranger);
+
+  // Same topology, no clients booted: all it knows comes from adopt.
+  OverlayWorld standby(opts);
+  standby.broker->adopt_state(primary.broker->export_state());
+  standby.sim.run_until(primary.sim.now());
+
+  ASSERT_EQ(standby.broker->registered_clients(), primary.broker->registered_clients());
+  for (const PeerId peer : primary.broker->registered_clients()) {
+    const auto* want = primary.broker->client(peer);
+    const auto* got = standby.broker->client(peer);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->peer, want->peer);
+    EXPECT_EQ(got->node, want->node);
+    EXPECT_EQ(got->first_seen, want->first_seen);
+    EXPECT_EQ(got->last_seen, want->last_seen);
+    EXPECT_EQ(got->backlog, want->backlog);
+    EXPECT_EQ(got->idle, want->idle);
+    EXPECT_EQ(got->pending_transfers, want->pending_transfers);
+  }
+  const auto want = primary.broker->snapshot_group();
+  const auto got = standby.broker->snapshot_group();
+  ASSERT_EQ(got.size(), want.size());
+  const Seconds now = primary.sim.now();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].peer, want[i].peer);
+    EXPECT_EQ(got[i].node, want[i].node);
+    EXPECT_EQ(got[i].cpu_ghz, want[i].cpu_ghz);
+    EXPECT_EQ(got[i].price_per_cpu_second, want[i].price_per_cpu_second);
+    EXPECT_EQ(got[i].online, want[i].online);
+    EXPECT_EQ(got[i].queued_tasks, want[i].queued_tasks);
+    ASSERT_EQ(got[i].statistics == nullptr, want[i].statistics == nullptr);
+    if (want[i].statistics == nullptr) continue;
+    EXPECT_NE(got[i].statistics, want[i].statistics);  // the standby's own copy
+    for (std::size_t c = 0; c < stats::kCriterionCount; ++c) {
+      const auto criterion = static_cast<stats::Criterion>(c);
+      EXPECT_EQ(got[i].statistics->value(criterion, now),
+                want[i].statistics->value(criterion, now))
+          << stats::to_string(criterion);
+    }
+  }
+  EXPECT_EQ(standby.broker->client(PeerId(40)), nullptr);
+  ASSERT_NE(standby.broker->find_statistics(PeerId(40)), nullptr);
+  EXPECT_EQ(standby.broker->find_statistics(PeerId(40))->tasks_exec_total().total(), 2u);
+  EXPECT_EQ(standby.broker->history().mean_response_time(PeerId(3)), 0.375);
+
+  // And back: the adopted registry exports what the primary exported.
+  const auto first = primary.broker->export_state();
+  const auto second = standby.broker->export_state();
+  ASSERT_EQ(second.peers.size(), first.peers.size());
+  for (std::size_t i = 0; i < first.peers.size(); ++i) {
+    EXPECT_EQ(second.peers[i].client.has_value(), first.peers[i].client.has_value()) << i;
+    EXPECT_EQ(second.peers[i].statistics.has_value(), first.peers[i].statistics.has_value())
+        << i;
+  }
+  EXPECT_EQ(second.history.known_peers(), first.history.known_peers());
+}
+
+TEST(Broker, RejectsPeerIdsPastTheDenseBound) {
+  OverlayWorld w;
+  w.boot();
+  const PeerId corrupt(kDensePeerIds);
+  EXPECT_THROW((void)w.broker->statistics_for(corrupt), InvariantError);
+  EXPECT_EQ(w.broker->find_statistics(corrupt), nullptr);
+  EXPECT_EQ(w.broker->client(corrupt), nullptr);
+  EXPECT_FALSE(w.broker->online(corrupt));
 }
 
 TEST(Broker, HostsRendezvousAndGroupRegistry) {

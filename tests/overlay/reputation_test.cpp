@@ -1,11 +1,13 @@
 // ReputationBook unit behaviour: penalties and rewards, exponential
-// decay toward neutral, quarantine arming / expiry / probation, and
-// the throttle-shortfall detector against a peer's own rate record.
+// decay toward neutral, quarantine arming / expiry / probation, the
+// throttle-shortfall detector against a peer's own rate record, and
+// the peer-indexed table's order and id bound.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "peerlab/common/check.hpp"
 #include "peerlab/obs/metrics.hpp"
 #include "peerlab/overlay/reputation.hpp"
 
@@ -100,6 +102,35 @@ TEST(ReputationBook, RepeatedLiesArmQuarantineAndExpiryLiftsToProbation) {
   book.record_lie(liar, 150.0);  // 0.5 - 0.4 = 0.1 < 0.3
   EXPECT_TRUE(book.quarantined(liar, 150.0));
   EXPECT_EQ(book.quarantines_imposed(), 2u);
+}
+
+TEST(ReputationBook, QuarantinedPeersComeOutInAscendingIdOrder) {
+  ReputationConfig cfg;
+  cfg.enabled = true;
+  cfg.decay_half_life = 0.0;
+  ReputationBook book(cfg);
+  // First seen out of id order, and one innocent peer in between: the
+  // excludes must not depend on observation order (or on a standard
+  // library's hash iteration order).
+  for (const std::uint64_t id : {9, 3, 12, 7, 2, 40}) {
+    book.record_lie(PeerId(id), 0.0);
+    if (id != 12) book.record_lie(PeerId(id), 0.0);
+  }
+  std::vector<PeerId> out = {PeerId(1)};  // a requester's own exclude
+  book.append_quarantined(10.0, out);
+  const std::vector<PeerId> want = {PeerId(1), PeerId(2),  PeerId(3),
+                                    PeerId(7), PeerId(9), PeerId(40)};
+  EXPECT_EQ(out, want);
+}
+
+TEST(ReputationBook, RejectsPeerIdsPastTheDenseBound) {
+  ReputationBook book(flat_config());
+  const PeerId corrupt(kDensePeerIds);
+  EXPECT_THROW(book.record_failure(corrupt, 0.0), InvariantError);
+  EXPECT_THROW(book.record_lie(corrupt, 0.0), InvariantError);
+  // Queries about an id no table reaches answer as for a stranger.
+  EXPECT_DOUBLE_EQ(book.score(corrupt, 0.0), book.config().initial);
+  EXPECT_FALSE(book.quarantined(corrupt, 0.0));
 }
 
 TEST(ReputationBook, TransferShortfallAgainstOwnTrackRecordIsAThrottle) {

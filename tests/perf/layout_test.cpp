@@ -20,6 +20,7 @@
 #include "peerlab/core/selection_model.hpp"
 #include "peerlab/mem/small_vector.hpp"
 #include "peerlab/sim/event_queue.hpp"
+#include "peerlab/stats/history.hpp"
 
 namespace peerlab {
 namespace {
@@ -37,6 +38,13 @@ static_assert(alignof(sim::detail::EventSlot) == 64);
 static_assert(sizeof(core::ScoredPeer) == 24);
 static_assert(std::is_trivially_copyable_v<core::ScoredPeer>);
 
+// A selection scan reads every candidate's history memos: the four
+// tail means, their depths and states, plus the peer's FIFO handles,
+// packed into one line per peer (DESIGN.md §13 "Dense per-peer state").
+static_assert(sizeof(stats::detail::HistoryRow) == 64);
+static_assert(alignof(stats::detail::HistoryRow) == 64);
+static_assert(std::is_trivially_copyable_v<stats::detail::HistoryRow>);
+
 // small_vector must not pad its inline buffer: N inline elements, the
 // pointer/size/capacity header, and nothing else.
 static_assert(sizeof(mem::small_vector<std::uint64_t, 8>) ==
@@ -53,6 +61,12 @@ TEST(Layout, ScoredPeerPacksPeerCostAndPosition) {
   EXPECT_EQ(0u, offsetof(core::ScoredPeer, peer));
   EXPECT_EQ(8u, offsetof(core::ScoredPeer, cost));
   EXPECT_EQ(16u, offsetof(core::ScoredPeer, position));
+}
+
+TEST(Layout, HistoryMemoLineIsOneCacheLine) {
+  EXPECT_EQ(64u, sizeof(stats::detail::HistoryRow));
+  EXPECT_EQ(64u, alignof(stats::detail::HistoryRow));
+  EXPECT_EQ(0u, offsetof(stats::detail::HistoryRow, value));
 }
 
 TEST(Layout, SmallVectorInlineBufferIsTight) {

@@ -137,6 +137,18 @@ TEST(HistoryStore, RejectsMalformedRecords) {
   EXPECT_THROW(HistoryStore(0), InvariantError);
 }
 
+TEST(HistoryStore, RejectsPeerIdsPastTheDenseBound) {
+  HistoryStore h;
+  const PeerId corrupt(kDensePeerIds);
+  EXPECT_THROW(h.record_task(task(corrupt, 10.0, 5.0, true)), InvariantError);
+  EXPECT_THROW(h.record_transfer(transfer(corrupt, megabytes(1.0), 1.0, true)), InvariantError);
+  EXPECT_THROW(h.record_response_time(corrupt, 0.5), InvariantError);
+  // Reads past the table answer as for a peer never recorded.
+  EXPECT_FALSE(h.mean_response_time(corrupt).has_value());
+  EXPECT_EQ(h.task_count(corrupt), 0u);
+  EXPECT_TRUE(h.known_peers().empty());
+}
+
 TEST(TransferRecordStruct, AchievedRateMatchesUnits) {
   const auto r = transfer(PeerId(1), megabytes(1.0), 2.0, true);
   EXPECT_DOUBLE_EQ(r.achieved_rate(), 4.0);  // 8 Mbit / 2 s
