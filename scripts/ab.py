@@ -3,18 +3,19 @@
 
 Usage, from the repository root:
 
-    python3 scripts/ab.py <parent-rev> [--pairs 10] [--seconds 30]
-        [--workloads churn crowd paper-sweep] [--seeds 101 20070901]
-        [--scratch .ab_build] [--json ab.json]
+    python3 scripts/ab.py <parent-rev> [--pairs 10]
+        [--workloads churn crowd paper-sweep] [--scratch .ab_build]
+        [--json ab.json]
 
 The parent side is <parent-rev>, `git archive`d into
 <scratch>/<commit>/src; the change side is this checkout's working
 tree. Each side's e2ebench driver is built by that side's own
 e2ebench/run.py build(), into its own CARGO_TARGET_DIR under <scratch>.
 
-Then, per workload and seed, N pairs run alternately (parent first in
-even pairs, change first in odd) with --trace 0 in run.py's driver
-environment. The script stops with exit 1 as soon as a driver exits
+Then, per workload and at seeds 101 and 20070901, N pairs run
+alternately (parent first in even pairs, change first in odd), each
+run BENCHMARK.json's run_seconds long, with --trace 0 in run.py's
+driver environment. The script stops with exit 1 as soon as a driver exits
 nonzero, a declared end-to-end metric is missing or carries another
 unit, or a run prints a digest other than the parent's first digest
 for that workload and seed.
@@ -135,10 +136,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="--seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workloads", nargs="+", default=None)
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     parser.add_argument("--scratch", type=pathlib.Path, default=ROOT / ".ab_build",
                         help="archive and build directory (default .ab_build)")
     parser.add_argument("--json", type=pathlib.Path, default=None,
@@ -148,7 +146,7 @@ def main() -> int:
     change_run = load_run_module(ROOT, "ab_change_run")
     spec = change_run.benchmark_spec()
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     units = change_run.declared_units(0)
     scratch = args.scratch.resolve()
 
@@ -162,7 +160,7 @@ def main() -> int:
 
     runs: dict = {}
     for workload in workloads:
-        for seed in args.seeds:
+        for seed in SEEDS:
             sides = runs.setdefault(workload, {}).setdefault(seed, {"parent": [], "change": []})
             reference = None
             for pair in range(args.pairs):

@@ -9,10 +9,12 @@
 // creates the entity (typically the Simulator world), which keeps id
 // generation deterministic across runs.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 namespace peerlab {
 
@@ -89,6 +91,22 @@ inline constexpr std::uint64_t kDensePeerIds = std::uint64_t{1} << 22;
 /// `peer`'s row in a peer-indexed table; fails a check at or past
 /// kDensePeerIds.
 [[nodiscard]] std::size_t dense_index(PeerId peer);
+
+/// `peer`'s row of a peer-indexed table, growing the table with
+/// default rows to reach it; fails a check at or past kDensePeerIds.
+template <typename T>
+[[nodiscard]] T& dense_row(std::vector<T>& table, PeerId peer) {
+  const std::size_t i = dense_index(peer);
+  if (i >= table.size()) table.resize(i + 1);
+  return table[i];
+}
+
+/// `peer`'s row of a peer-indexed table, or nullptr past its end: a
+/// peer the table never grew to reach reads as never seen.
+template <typename T>
+[[nodiscard]] const T* dense_find(const std::vector<T>& table, PeerId peer) noexcept {
+  return peer.value() < table.size() ? &table[peer.value()] : nullptr;
+}
 
 /// Renders an id for logs, e.g. "peer#42"; defined per family.
 std::string to_string(NodeId id);

@@ -58,22 +58,15 @@ BrokerPeer::~BrokerPeer() {
   endpoint_.clear_handler(transport::MessageType::kStatsReport);
 }
 
-BrokerPeer::PeerRow& BrokerPeer::row_for(PeerId peer) {
-  const std::size_t i = dense_index(peer);
-  if (i >= registry_.size()) registry_.resize(i + 1);
-  return registry_[i];
-}
-
 void BrokerPeer::register_client(PeerRow& row, const ClientRecord& record) {
   const auto& profile = topology().node(record.node).profile();
   row.client = record;
   row.cpu_ghz = profile.cpu_ghz;
   row.price_per_cpu_second = profile.price_per_cpu_second;
-  ++registered_;
 }
 
 stats::PeerStatistics& BrokerPeer::statistics_for(PeerId peer) {
-  PeerRow& row = row_for(peer);
+  PeerRow& row = dense_row(registry_, peer);
   if (row.statistics == nullptr) {
     row.statistics = std::make_unique<stats::PeerStatistics>(config_.stats_window);
   }
@@ -84,18 +77,17 @@ stats::PeerStatistics& BrokerPeer::statistics_for(PeerId peer) {
 }
 
 const stats::PeerStatistics* BrokerPeer::find_statistics(PeerId peer) const {
-  const PeerRow* row = find_row(peer);
+  const PeerRow* row = dense_find(registry_, peer);
   return row != nullptr ? row->statistics.get() : nullptr;
 }
 
 const BrokerPeer::ClientRecord* BrokerPeer::client(PeerId peer) const {
-  const PeerRow* row = find_row(peer);
+  const PeerRow* row = dense_find(registry_, peer);
   return row != nullptr && row->registered() ? &row->client : nullptr;
 }
 
 std::vector<PeerId> BrokerPeer::registered_clients() const {
   std::vector<PeerId> out;
-  out.reserve(registered_);
   for (const PeerRow& row : registry_) {
     if (row.registered()) out.push_back(row.client.peer);
   }
@@ -115,7 +107,6 @@ void BrokerPeer::set_selection_model(std::unique_ptr<core::SelectionModel> model
 
 void BrokerPeer::fill_snapshots(std::vector<core::PeerSnapshot>& out) const {
   out.clear();
-  out.reserve(registered_);
   const Seconds now = sim().now();
   for (const PeerRow& row : registry_) {
     if (!row.registered()) continue;
@@ -337,7 +328,6 @@ BrokerPeer::ReplicatedState BrokerPeer::export_state() const {
 void BrokerPeer::adopt_state(ReplicatedState state) {
   registry_.clear();
   registry_.resize(state.peers.size());
-  registered_ = 0;
   for (std::size_t i = 0; i < registry_.size(); ++i) {
     ReplicatedState::Peer& peer = state.peers[i];
     PeerRow& row = registry_[i];
@@ -374,7 +364,7 @@ void BrokerPeer::on_heartbeat(const transport::Message& m) {
   ++heartbeats_;
   if (m_.heartbeats != nullptr) m_.heartbeats->add(1);
   const PeerId peer(m.correlation);
-  PeerRow& row = row_for(peer);
+  PeerRow& row = dense_row(registry_, peer);
   if (!row.registered()) {
     ClientRecord record;
     record.peer = peer;

@@ -236,12 +236,6 @@ class BrokerPeer {
 
     [[nodiscard]] bool registered() const noexcept { return client.peer.valid(); }
   };
-  /// The row of `peer`, growing the registry.
-  [[nodiscard]] PeerRow& row_for(PeerId peer);
-  /// The row of `peer`; nullptr when the registry does not reach it.
-  [[nodiscard]] const PeerRow* find_row(PeerId peer) const noexcept {
-    return peer.value() < registry_.size() ? &registry_[peer.value()] : nullptr;
-  }
   /// Fills a row's client record and copies its node's profile.
   void register_client(PeerRow& row, const ClientRecord& record);
 
@@ -298,7 +292,6 @@ class BrokerPeer {
   std::uint64_t audit_clock_ = 0;
   DeltaObserver delta_observer_;
   std::vector<PeerRow> registry_;  // index = peer id
-  std::size_t registered_ = 0;     // rows with a client record
   std::vector<NodeId> peer_brokers_;
   std::uint64_t federated_queries_ = 0;
   std::uint64_t heartbeats_ = 0;

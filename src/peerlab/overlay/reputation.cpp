@@ -39,9 +39,7 @@ void ReputationBook::append_quarantined(Seconds now, std::vector<PeerId>& out) c
 }
 
 void ReputationBook::adjust(PeerId peer, Seconds now, double delta) {
-  const std::size_t i = dense_index(peer);
-  if (i >= entries_.size()) entries_.resize(i + 1);
-  Entry& entry = entries_[i];
+  Entry& entry = dense_row(entries_, peer);
   if (!entry.observed) entry = Entry{config_.initial, now, 0.0, 0.0, true};
   const double value = projected(entry, now);
   if (entry.quarantine_until > 0.0 && now >= entry.quarantine_until) {
@@ -94,7 +92,7 @@ void ReputationBook::record_transfer(PeerId peer, const stats::TransferRecord& r
   } else {
     record_success(peer, now);
   }
-  Entry& entry = entries_[peer.value()];  // observed by now
+  Entry& entry = dense_row(entries_, peer);  // observed by now
   entry.rate_ewma = entry.rate_ewma > 0.0 ? 0.7 * entry.rate_ewma + 0.3 * rate : rate;
 }
 

@@ -134,8 +134,8 @@ class ReputationBook {
   void adjust(PeerId peer, Seconds now, double delta);
   /// The peer's entry if it was ever observed.
   [[nodiscard]] const Entry* find(PeerId peer) const noexcept {
-    const std::uint64_t i = peer.value();
-    return i < entries_.size() && entries_[i].observed ? &entries_[i] : nullptr;
+    const Entry* entry = dense_find(entries_, peer);
+    return entry != nullptr && entry->observed ? entry : nullptr;
   }
 
   ReputationConfig config_;

@@ -16,9 +16,7 @@ HistoryStore::HistoryStore(std::size_t per_peer_capacity) : capacity_(per_peer_c
 }
 
 HistoryStore::Row& HistoryStore::touch(PeerId peer) {
-  const std::size_t i = dense_index(peer);
-  if (i >= rows_.size()) rows_.resize(i + 1);
-  Row& row = rows_[i];
+  Row& row = dense_row(rows_, peer);
   std::fill(std::begin(row.memo), std::end(row.memo), Row::kStale);
   return row;
 }

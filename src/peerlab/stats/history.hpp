@@ -150,13 +150,13 @@ class HistoryStore {
   /// original.
   [[nodiscard]] std::optional<double> memoized(PeerId peer, Estimator e,
                                                std::size_t last_n) const {
-    if (peer.value() >= rows_.size()) return std::nullopt;  // never recorded
-    const Row& row = rows_[peer.value()];
+    const Row* row = dense_find(rows_, peer);
+    if (row == nullptr) return std::nullopt;  // never recorded
     // Depths past 32 bits all read every record: no FIFO holds that many.
     const auto depth = static_cast<std::uint32_t>(std::min<std::size_t>(last_n, UINT32_MAX));
-    if (row.memo[e] == Row::kStale || row.last_n[e] != depth) refresh(row, e, depth);
-    if (row.memo[e] == Row::kEmpty) return std::nullopt;
-    return row.value[e];
+    if (row->memo[e] == Row::kStale || row->last_n[e] != depth) refresh(*row, e, depth);
+    if (row->memo[e] == Row::kEmpty) return std::nullopt;
+    return row->value[e];
   }
   void refresh(const Row& row, Estimator e, std::uint32_t depth) const;
 
@@ -171,7 +171,8 @@ class HistoryStore {
   /// The peer's FIFO of `kind`; nullptr before its first record.
   template <typename T>
   const std::deque<T>* fifo(const Pool<T>& pool, PeerId peer, Kind kind) const {
-    return peer.value() < rows_.size() ? fifo(pool, rows_[peer.value()].fifo[kind]) : nullptr;
+    const Row* row = dense_find(rows_, peer);
+    return row != nullptr ? fifo(pool, row->fifo[kind]) : nullptr;
   }
   /// Appends `value` to the FIFO behind `handle` (made on first use),
   /// evicting the oldest records past the capacity.
