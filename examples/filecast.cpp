@@ -1,22 +1,23 @@
 // Filecast: scatter a large file across broker-selected peers with one
-// call (Primitives::distribute_file), with event tracing enabled — the
-// trace timeline is dumped to filecast_trace.csv for offline analysis.
+// call (Primitives::distribute_file), with causal tracing enabled — the
+// trace is dumped to filecast.trace.jsonl for offline analysis.
 //
 //   $ ./filecast
+//   $ python3 scripts/trace_analyze.py filecast.trace.jsonl
 
 #include <cstdio>
 
 #include "peerlab/core/economic.hpp"
+#include "peerlab/obs/trace.hpp"
 #include "peerlab/planetlab/deployment.hpp"
-#include "peerlab/sim/trace.hpp"
 
 using namespace peerlab;
 
 int main() {
   sim::Simulator sim(/*seed=*/2024);
+  obs::trace::TraceRecorder recorder(sim);  // declared first: outlives the deployment
   planetlab::Deployment dep(sim);
-  sim::Tracer tracer;
-  dep.network().set_tracer(&tracer);
+  dep.attach_tracing(&recorder);
   dep.boot();
   dep.broker().set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
   overlay::Primitives api(dep.control());
@@ -64,8 +65,9 @@ int main() {
               scattered->makespan(), to_minutes(scattered->makespan()),
               single_peer / scattered->makespan());
 
-  tracer.write_csv("filecast_trace.csv");
-  std::printf("\n%llu trace events written to filecast_trace.csv (%zu in buffer)\n",
-              static_cast<unsigned long long>(tracer.recorded()), tracer.size());
+  recorder.write_jsonl("filecast.trace.jsonl");
+  std::printf("\n%llu trace records written to filecast.trace.jsonl (%llu dropped)\n",
+              static_cast<unsigned long long>(recorder.recorded()),
+              static_cast<unsigned long long>(recorder.dropped()));
   return 0;
 }

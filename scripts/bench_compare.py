@@ -35,7 +35,8 @@ Exits nonzero when any headline metric regresses by more than the
 threshold relative to the previous snapshot, or when a metric present
 in the baseline is missing from the candidate run entirely (a deleted
 or renamed benchmark must be an explicit decision, not a silent pass);
-that is what makes it usable as a CI tripwire. The end-to-end headlines
+that is what makes it usable as a CI tripwire. A --bench-dir that is not
+a directory exits 2 before any benchmark runs. The end-to-end headlines
 are only compared when --ab-json supplies them: a microbench-only run
 says nothing about them either way.
 
@@ -249,6 +250,9 @@ def main() -> int:
     parser.add_argument("--obs-baseline", type=pathlib.Path, default=None,
                         help="baseline obs export to diff --obs-json against")
     args = parser.parse_args()
+    if not args.bench_dir.is_dir():
+        print(f"bench_compare: --bench-dir {args.bench_dir} is not a directory", file=sys.stderr)
+        return 2
 
     if args.obs_json:
         diff_obs_metrics(args.obs_json, args.obs_baseline)

@@ -18,7 +18,7 @@
 #include "peerlab/obs/metrics.hpp"
 #include "peerlab/obs/trace.hpp"
 #include "peerlab/obs/watchdog.hpp"
-#include "peerlab/sim/histogram.hpp"
+#include "peerlab/sim/summary.hpp"
 
 namespace peerlab::planetlab {
 class Deployment;
@@ -37,9 +37,9 @@ struct RunOptions {
   /// outlive the run. Null = observability off (the default).
   obs::MetricRegistry* metrics = nullptr;
   /// Wall-clock profiling: attach deployments with wall_profiling on,
-  /// so re-level histograms and the obs::WallProfiler span sites
-  /// (profile.*) populate. Requires `metrics`; bench runners expose it
-  /// as --profile and dump the span table (see bench_common.hpp).
+  /// so the obs::WallProfiler span sites (profile.*) populate. Requires
+  /// `metrics`; bench runners expose it as --profile and dump the span
+  /// table (see bench_common.hpp).
   bool profile = false;
   /// When non-empty, each repetition stands up a TraceSession: a
   /// TraceRecorder + invariant Watchdog attached to the deployment,

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "peerlab/common/check.hpp"
-#include "peerlab/obs/span.hpp"
 #include "peerlab/obs/trace.hpp"
 
 namespace peerlab::net {
@@ -57,8 +56,7 @@ void FlowScheduler::reserve_flows(std::size_t flows) {
   done_.reserve(flows);
 }
 
-void FlowScheduler::attach_metrics(obs::MetricRegistry& registry, bool wall_profiling,
-                                   obs::WallProfiler* profiler) {
+void FlowScheduler::attach_metrics(obs::MetricRegistry& registry, obs::WallProfiler* profiler) {
   m_.flows_started = &registry.counter("net.flows.started", "flows");
   m_.flows_completed = &registry.counter("net.flows.completed", "flows");
   m_.flows_aborted = &registry.counter("net.flows.aborted", "flows");
@@ -66,14 +64,6 @@ void FlowScheduler::attach_metrics(obs::MetricRegistry& registry, bool wall_prof
   m_.relevels = &registry.counter("net.flows.relevels", "transitions");
   m_.components_releveled = &registry.counter("net.flows.components_releveled", "components");
   m_.flows_releveled = &registry.counter("net.flows.flows_releveled", "flows");
-  if (wall_profiling) {
-    obs::Histogram::Options opts;
-    opts.lo = 1e-9;  // nanosecond resolution: re-levels are sub-microsecond
-    opts.hi = 1.0;
-    m_.relevel_wall_s = &registry.histogram("net.flows.relevel_wall_s", "s", opts);
-  } else {
-    m_.relevel_wall_s = nullptr;
-  }
   m_.profiler = profiler;
   if (profiler != nullptr) {
     m_.relevel_site = &profiler->site("flows.relevel");
@@ -301,7 +291,6 @@ void FlowScheduler::unlink_from(std::uint32_t slot, int dir, std::uint32_t key) 
 void FlowScheduler::relevel_dirty() {
   if (dirty_res_.empty()) return;
   ensure_node_arrays();
-  const obs::WallSpan wall_span(m_.relevel_wall_s);
   const obs::WallProfiler::Span span(m_.profiler, m_.relevel_site);
   if (m_.relevels != nullptr) m_.relevels->add(1);
   // Single known component: it necessarily contains every dirty

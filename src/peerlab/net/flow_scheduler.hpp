@@ -151,14 +151,11 @@ class FlowScheduler {
 
   /// Registers this scheduler's instruments in `registry` and starts
   /// recording into them; zero-cost when never called (every record
-  /// site is one null test, like Network::set_tracer). With
-  /// `wall_profiling` the re-level path also times itself with the
-  /// steady clock into `net.flows.relevel_wall_s` — re-levels run
-  /// within one sim instant, so only wall time can profile them. A
-  /// non-null `profiler` additionally opens nested self/total spans
-  /// (`flows.relevel` with child `flows.waterfill`) per pass.
-  void attach_metrics(obs::MetricRegistry& registry, bool wall_profiling = false,
-                      obs::WallProfiler* profiler = nullptr);
+  /// site is one null test). A non-null `profiler` also opens nested
+  /// self/total wall-clock spans (`flows.relevel` with child
+  /// `flows.waterfill`) per pass — re-levels run within one sim
+  /// instant, so only wall time can profile them.
+  void attach_metrics(obs::MetricRegistry& registry, obs::WallProfiler* profiler = nullptr);
   void detach_metrics() noexcept { m_ = Metrics(); }
 
   /// Attaches (or detaches with nullptr) the causal-trace recorder;
@@ -335,7 +332,6 @@ class FlowScheduler {
     obs::Counter* relevels = nullptr;
     obs::Counter* components_releveled = nullptr;
     obs::Counter* flows_releveled = nullptr;
-    obs::Histogram* relevel_wall_s = nullptr;
     obs::WallProfiler* profiler = nullptr;
     obs::WallProfiler::Site* relevel_site = nullptr;
     obs::WallProfiler::Site* waterfill_site = nullptr;

@@ -24,7 +24,7 @@ Network::Network(sim::Simulator& sim, Topology topology, NetworkConfig config)
       "datagram_duplication must be in [0, 1)");
 }
 
-void Network::attach_metrics(obs::MetricRegistry& registry, bool wall_profiling,
+void Network::attach_metrics(obs::MetricRegistry& registry, bool,
                              obs::WallProfiler* profiler) {
   m_.datagrams_sent = &registry.counter("net.datagrams.sent", "datagrams");
   m_.datagrams_lost = &registry.counter("net.datagrams.lost", "datagrams");
@@ -39,7 +39,7 @@ void Network::attach_metrics(obs::MetricRegistry& registry, bool wall_profiling,
   delay_opts.lo = 1e-4;  // control delays run 1 ms .. tens of seconds
   delay_opts.hi = 1e3;
   m_.datagram_delay_s = &registry.histogram("net.datagram_delay_s", "s", delay_opts);
-  flows_.attach_metrics(registry, wall_profiling, profiler);
+  flows_.attach_metrics(registry, profiler);
 }
 
 void Network::account_brownout(NodeId node, double new_factor) {
@@ -69,10 +69,6 @@ void Network::crash_node(NodeId node) {
   if (!node_up(node)) return;
   if (node_down_.size() <= node.value()) node_down_.resize(topology_.size() + 1, 0);
   node_down_[node.value()] = 1;
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "node-crash", to_string(node),
-                    node.value(), 0);
-  }
   // All in-flight messages touching the node die together: the batch
   // guard coalesces the dirty components so each survivor component
   // re-levels exactly once, then every victim's failure callback fires
@@ -86,22 +82,11 @@ void Network::crash_node(NodeId node) {
 void Network::set_capacity_factor(NodeId node, double factor) {
   account_brownout(node, factor);
   flows_.set_capacity_factor(node, factor);
-  // Brownouts are faults like crashes and partitions: record them so a
-  // trace of a degraded run explains its throughput dips.
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "node-brownout",
-                    to_string(node), node.value(),
-                    static_cast<std::uint64_t>(factor * 100.0));
-  }
 }
 
 void Network::restore_node(NodeId node) {
   PEERLAB_CHECK_MSG(topology_.contains(node), "restore target must exist");
   if (node.value() < node_down_.size()) node_down_[node.value()] = 0;
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "node-restart", to_string(node),
-                    node.value(), 0);
-  }
 }
 
 void Network::partition(NodeId a, NodeId b) {
@@ -110,10 +95,6 @@ void Network::partition(NodeId a, NodeId b) {
   if (!partitions_.emplace(std::min(a.value(), b.value()), std::max(a.value(), b.value()))
            .second) {
     return;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "link-partition",
-                    to_string(a) + "-" + to_string(b), a.value(), b.value());
   }
   const std::size_t aborted = flows_.abort_between(a, b);
   messages_aborted_ += aborted;
@@ -146,10 +127,6 @@ void Network::send_datagram(NodeId src, NodeId dst, Bytes size,
       m_.datagrams_lost->add(1);
       m_.datagrams_blocked->add(1);
     }
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "datagram-blocked",
-                      to_string(src) + "->" + to_string(dst), src.value(), dst.value());
-    }
     return;  // dead/partitioned endpoint; sender's timer handles it
   }
   const double p_deliver =
@@ -157,18 +134,10 @@ void Network::send_datagram(NodeId src, NodeId dst, Bytes size,
   if (!loss_rng_.bernoulli(p_deliver)) {
     ++datagrams_lost_;
     if (m_.datagrams_lost != nullptr) m_.datagrams_lost->add(1);
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "datagram-lost",
-                      to_string(src) + "->" + to_string(dst), src.value(), dst.value());
-    }
     return;  // silently dropped; sender's timer handles it
   }
   const Seconds delay = sample_control_delay(src, dst);
   if (m_.datagram_delay_s != nullptr) m_.datagram_delay_s->record(delay);
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "datagram-sent",
-                    to_string(src) + "->" + to_string(dst), src.value(), dst.value());
-  }
   // A crash between send and arrival kills the destination's software
   // before the datagram lands, so deliverability is re-checked at the
   // arrival instant.
@@ -190,10 +159,6 @@ void Network::send_datagram(NodeId src, NodeId dst, Bytes size,
       loss_rng_.bernoulli(config_.datagram_duplication)) {
     ++datagrams_duplicated_;
     if (m_.datagrams_duplicated != nullptr) m_.datagrams_duplicated->add(1);
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "datagram-duplicated",
-                      to_string(src) + "->" + to_string(dst), src.value(), dst.value());
-    }
     // The copy rides an independently sampled delay: it may land before
     // or after the original, exercising responder idempotency both ways.
     sim_.schedule(sample_control_delay(src, dst), arrival);
@@ -223,11 +188,6 @@ FlowId Network::start_message(NodeId src, NodeId dst, Bytes size,
       m_.messages_lost->add(1);
       m_.messages_blocked->add(1);
     }
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "message-blocked",
-                      to_string(src) + "->" + to_string(dst),
-                      static_cast<std::uint64_t>(size), 0);
-    }
     if (trace_ != nullptr && trace.active()) {
       // No flow ever starts; the chain records the immediate abort.
       trace_->emit(src, TraceKind::kFlowAbort, trace, 0, static_cast<std::uint64_t>(size));
@@ -255,11 +215,6 @@ FlowId Network::start_message(NodeId src, NodeId dst, Bytes size,
     flow_size = std::max<Bytes>(1, static_cast<Bytes>(static_cast<double>(size) * fraction));
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "message-start",
-                    to_string(src) + "->" + to_string(dst),
-                    static_cast<std::uint64_t>(size), survives ? 1 : 0);
-  }
   FlowSpec spec;
   spec.src = src;
   spec.dst = dst;
@@ -272,24 +227,13 @@ FlowId Network::start_message(NodeId src, NodeId dst, Bytes size,
   spec.on_complete = [this, begun, survives, src, dst, size, trace,
                       shared_cb](Seconds /*flow_duration*/) {
     const Seconds elapsed = sim_.now() - begun + topology_.propagation(src, dst);
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork,
-                      survives ? "message-delivered" : "message-lost",
-                      to_string(src) + "->" + to_string(dst),
-                      static_cast<std::uint64_t>(size), 0);
-    }
     if (trace_ != nullptr && trace.active()) {
       trace_->emit(dst, TraceKind::kFlowFinish, trace, static_cast<std::uint64_t>(size),
                    survives ? 1 : 0);
     }
     if (*shared_cb) (*shared_cb)(survives, elapsed);
   };
-  spec.on_abort = [this, begun, src, dst, size, trace, shared_cb](Seconds /*elapsed*/) {
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kNetwork, "message-aborted",
-                      to_string(src) + "->" + to_string(dst),
-                      static_cast<std::uint64_t>(size), 0);
-    }
+  spec.on_abort = [this, begun, src, size, trace, shared_cb](Seconds /*elapsed*/) {
     if (trace_ != nullptr && trace.active()) {
       trace_->emit(src, TraceKind::kFlowAbort, trace, 0, static_cast<std::uint64_t>(size));
     }

@@ -28,7 +28,6 @@
 #include "peerlab/net/topology.hpp"
 #include "peerlab/obs/trace_context.hpp"
 #include "peerlab/sim/simulator.hpp"
-#include "peerlab/sim/trace.hpp"
 
 namespace peerlab::obs::trace {
 class TraceRecorder;
@@ -128,15 +127,10 @@ class Network {
   /// sending (used by models estimating responsiveness).
   [[nodiscard]] Seconds sample_control_delay(NodeId src, NodeId dst);
 
-  /// Attaches (or detaches with nullptr) an event tracer; the network
-  /// records datagram and bulk-message milestones while one is set.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] sim::Tracer* tracer() const noexcept { return tracer_; }
-
   /// Attaches (or detaches with nullptr) the causal-trace recorder.
   /// Traced bulk messages then emit flow lifecycle events and the flow
   /// scheduler records ambient re-levels. One pointer test per site
-  /// when detached (the sim::Tracer attachment rule).
+  /// when detached.
   void set_trace(obs::trace::TraceRecorder* recorder) noexcept {
     trace_ = recorder;
     flows_.set_trace(recorder);
@@ -146,10 +140,10 @@ class Network {
   /// Registers the network's instruments (datagram/message counters,
   /// control-delay histogram, accumulated brownout seconds) in
   /// `registry` and the flow scheduler's alongside; zero-cost when
-  /// never called. `wall_profiling` forwards to the scheduler's
-  /// re-level wall-clock histogram; a non-null `profiler` adds nested
-  /// re-level/water-fill spans (see obs::WallProfiler).
-  void attach_metrics(obs::MetricRegistry& registry, bool wall_profiling = false,
+  /// never called. A non-null `profiler` adds nested re-level/water-fill
+  /// spans (see obs::WallProfiler).
+  /// The unnamed bool is ignored; e2ebench/src/workloads.cpp still passes it.
+  void attach_metrics(obs::MetricRegistry& registry, bool = false,
                       obs::WallProfiler* profiler = nullptr);
   void detach_metrics() noexcept {
     m_ = Metrics();
@@ -196,7 +190,6 @@ class Network {
   NetworkConfig config_;
   FlowScheduler flows_;
   sim::Rng loss_rng_;
-  sim::Tracer* tracer_ = nullptr;
   obs::trace::TraceRecorder* trace_ = nullptr;
   Metrics m_;
   /// Start time of each node's ongoing brownout; NaN = not degraded.

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "peerlab/common/check.hpp"
-#include "peerlab/sim/trace.hpp"
 
 namespace peerlab::obs {
 
@@ -27,24 +26,7 @@ void SnapshotExporter::arm() {
   });
 }
 
-void SnapshotExporter::track_tracer(const sim::Tracer& tracer, MetricRegistry& registry) {
-  tracer_ = &tracer;
-  tracer_drops_ = &registry.counter("trace.dropped", "events");
-  tracer_drops_seen_ = 0;
-  sync_tracer();
-}
-
-void SnapshotExporter::sync_tracer() const {
-  if (tracer_ == nullptr) return;
-  const std::uint64_t total = tracer_->dropped();
-  if (total > tracer_drops_seen_) {
-    tracer_drops_->add(total - tracer_drops_seen_);
-    tracer_drops_seen_ = total;
-  }
-}
-
 void SnapshotExporter::snapshot_now() {
-  sync_tracer();
   const Seconds now = sim_.now();
   for (const MetricRegistry::Entry& e : registry_.entries()) {
     switch (e.kind) {
@@ -108,20 +90,7 @@ void SnapshotExporter::write_csv(const std::string& path) const {
 }
 
 std::string SnapshotExporter::json(std::string_view label) const {
-  sync_tracer();
-  std::string out = registry_.json(label);
-  if (tracer_ != nullptr && tracer_->dropped() > 0) {
-    // Splice a warnings array before the closing brace so ring
-    // overflow is impossible to miss in bench artifacts.
-    const std::size_t brace = out.rfind("\n}");
-    PEERLAB_CHECK_MSG(brace != std::string::npos, "registry json missing closing brace");
-    std::ostringstream warning;
-    warning << ",\n  \"warnings\": [\n    \"sim::Tracer ring overflowed: "
-            << tracer_->dropped() << " events dropped (of " << tracer_->recorded()
-            << " recorded); raise the Tracer capacity to keep full traces\"\n  ]";
-    out.insert(brace, warning.str());
-  }
-  return out;
+  return registry_.json(label);
 }
 
 void SnapshotExporter::write_json(const std::string& path, std::string_view label) const {

@@ -16,10 +16,6 @@
 #include "peerlab/obs/metrics.hpp"
 #include "peerlab/sim/simulator.hpp"
 
-namespace peerlab::sim {
-class Tracer;
-}  // namespace peerlab::sim
-
 namespace peerlab::obs {
 
 class SnapshotExporter {
@@ -42,13 +38,6 @@ class SnapshotExporter {
   /// time (also called by the periodic daemon).
   void snapshot_now();
 
-  /// Mirrors `tracer.dropped()` into the `trace.dropped` counter of
-  /// `registry` (updated on every snapshot and at json()/csv() time),
-  /// and makes json() flag nonzero drops in a "warnings" array —
-  /// silent sim::Tracer ring overflow becomes visible in bench
-  /// artifacts. The tracer must outlive the exporter.
-  void track_tracer(const sim::Tracer& tracer, MetricRegistry& registry);
-
   struct Row {
     Seconds time;
     std::string metric;
@@ -63,15 +52,12 @@ class SnapshotExporter {
   [[nodiscard]] std::string csv() const;
   void write_csv(const std::string& path) const;
 
-  /// Final JSON summary: MetricRegistry::json, plus a "warnings"
-  /// array when a tracked sim::Tracer overflowed its ring.
+  /// Final JSON summary: MetricRegistry::json.
   [[nodiscard]] std::string json(std::string_view label = "") const;
   void write_json(const std::string& path, std::string_view label = "") const;
 
  private:
   void arm();
-  /// Folds the tracked tracer's drop total into trace.dropped.
-  void sync_tracer() const;
 
   sim::Simulator& sim_;
   const MetricRegistry& registry_;
@@ -79,9 +65,6 @@ class SnapshotExporter {
   sim::EventHandle timer_;
   std::vector<Row> rows_;
   std::size_t snapshots_ = 0;
-  const sim::Tracer* tracer_ = nullptr;
-  Counter* tracer_drops_ = nullptr;  // registered by track_tracer
-  mutable std::uint64_t tracer_drops_seen_ = 0;
 };
 
 }  // namespace peerlab::obs

@@ -4,10 +4,10 @@
 //
 // Subsystems register an instrument once by name/unit and keep the
 // returned handle (a stable pointer); the hot-path update is then an
-// array increment with no lookup. Attachment follows the same
-// zero-cost-when-detached rule as Network::set_tracer: an instrumented
-// subsystem holds null handles until a registry is attached, and every
-// record site is gated on one pointer test.
+// array increment with no lookup. Attachment is zero-cost when
+// detached: an instrumented subsystem holds null handles until a
+// registry is attached, and every record site is gated on one pointer
+// test.
 //
 // Instruments:
 //  * Counter   — monotonic 64-bit count (datagrams sent, failovers).

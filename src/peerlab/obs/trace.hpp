@@ -6,8 +6,7 @@
 // candidate-index pulls, confirms/refusals, flow lifecycle, failover
 // re-homing, stats feedback — can be reconstructed for one TraceId.
 //
-// The design extends sim::Tracer's bounded-ring discipline to
-// structured, join-able records:
+// How it stays cheap and reproducible:
 //  * per-node rings of POD TraceRecords, preallocated on first use per
 //    node and then alloc-free: emit() is a couple of stores plus the
 //    global sequence increment, never a heap touch;

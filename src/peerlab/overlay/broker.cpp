@@ -452,10 +452,6 @@ void BrokerPeer::serve_selection(const transport::Message& m) {
     trace_->emit(node_, TraceKind::kSelectServe, m.trace.hop(), k, m.src.value());
   }
   const auto selected = select_peers(context, k);
-  if (auto* tracer = endpoint_.fabric().network().tracer()) {
-    tracer->record(sim().now(), sim::TraceCategory::kSelection, "selection-served",
-                   model_->name(), k, selected.size());
-  }
   const std::uint64_t ticket = directories_.selections.park(selected);
   endpoint_.reply(m, transport::MessageType::kSelectResponse,
                   static_cast<std::int64_t>(ticket));

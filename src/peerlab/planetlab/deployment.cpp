@@ -183,7 +183,7 @@ void Deployment::attach_metrics(obs::MetricRegistry& registry, bool wall_profili
     // is fixed at attach time (docs/METRICS.md is diffed against it).
     profiler_->site("run");
   }
-  network_->attach_metrics(registry, wall_profiling, profiler_.get());
+  network_->attach_metrics(registry, false, profiler_.get());
   for (auto& broker : brokers_) broker->attach_metrics(registry, profiler_.get());
   for (auto& standby : standbys_) standby->attach_metrics(registry, profiler_.get());
   if (replicas_ != nullptr) replicas_->attach_metrics(registry);

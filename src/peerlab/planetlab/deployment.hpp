@@ -108,11 +108,10 @@ class Deployment {
   /// shared by name, so e.g. overlay.heartbeats aggregates across all
   /// peers), and the fault injector — including one installed later.
   /// `registry` must outlive the deployment. Zero-cost when never
-  /// called; `wall_profiling` additionally enables the wall-clock
-  /// re-level histogram (see FlowScheduler::attach_metrics) and stands
-  /// up a WallProfiler whose spans (run / flows.relevel /
-  /// flows.waterfill / selection.rank) are registered eagerly so the
-  /// instrument inventory does not depend on which paths execute.
+  /// called; `wall_profiling` additionally stands up a WallProfiler
+  /// whose spans (run / flows.relevel / flows.waterfill /
+  /// selection.rank) are registered eagerly so the instrument
+  /// inventory does not depend on which paths execute.
   void attach_metrics(obs::MetricRegistry& registry, bool wall_profiling = false);
 
   /// Attaches (or detaches with nullptr) the causal-trace recorder

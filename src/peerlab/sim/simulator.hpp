@@ -77,10 +77,6 @@ class Simulator {
   void clear() noexcept { queue_.clear(); }
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-  /// True while non-daemon events remain — the condition run() runs
-  /// under. External drivers stepping the simulator (profilers) use it
-  /// to stop where run() would, instead of spinning on daemons forever.
-  [[nodiscard]] bool has_pending_work() const noexcept { return queue_.has_work(); }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const noexcept { return executed_; }
 

@@ -45,11 +45,6 @@ void TaskExecutor::maybe_start() {
     const Seconds duration = next->work / speed;
     const Seconds started_at = sim_.now();
     const Task task = *next;
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), sim::TraceCategory::kTask, "exec-start",
-                      to_string(node_.id()), task.id.value(),
-                      static_cast<std::uint64_t>(task.work));
-    }
     sim_.schedule(duration, [this, task, accepted_at, started_at, speed,
                              done = std::move(done)]() mutable {
       finish(task, accepted_at, started_at, speed, std::move(done));
@@ -72,11 +67,6 @@ void TaskExecutor::finish(const Task& task, Seconds accepted_at, Seconds started
     ++failed_;
   } else {
     ++completed_;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), sim::TraceCategory::kTask,
-                    failed ? "exec-failed" : "exec-done", to_string(node_.id()),
-                    task.id.value(), 0);
   }
   // Start the next task before delivering the report so a re-submitting
   // callback sees a consistent backlog.

@@ -12,7 +12,6 @@
 
 #include "peerlab/net/node.hpp"
 #include "peerlab/sim/simulator.hpp"
-#include "peerlab/sim/trace.hpp"
 #include "peerlab/tasks/queue.hpp"
 
 namespace peerlab::tasks {
@@ -63,9 +62,6 @@ class TaskExecutor {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
 
-  /// Optional event tracing (execution start/finish milestones).
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
  private:
   void maybe_start();
   void finish(const Task& task, Seconds accepted_at, Seconds started_at,
@@ -74,7 +70,6 @@ class TaskExecutor {
   sim::Simulator& sim_;
   net::Node& node_;
   ExecutorConfig config_;
-  sim::Tracer* tracer_ = nullptr;
   TaskQueue queue_;
   std::unordered_map<std::uint64_t, std::pair<Seconds, Completion>> pending_;  // accepted_at
   int running_ = 0;

@@ -5,6 +5,9 @@
 #include <optional>
 #include <vector>
 
+#include "peerlab/net/fault_plan.hpp"
+#include "peerlab/obs/trace.hpp"
+
 namespace peerlab::net {
 namespace {
 
@@ -184,21 +187,32 @@ TEST(Network, BrownoutSlowsTransferAndLeavesATraceRecord) {
   NetworkConfig cfg;
   cfg.degradation.s0 = 1000 * kGigabyte;  // no large-message cap: exact arithmetic
   auto net = make_network(sim, {host("a"), host("b")}, cfg);
-  sim::Tracer tracer;
-  net.set_tracer(&tracer);
-  std::optional<Seconds> done;
+  obs::trace::TraceRecorder recorder(sim);
+  net.set_trace(&recorder);
   // 1 MB at 8 Mbit/s finishes in 1 s unbrowned; halving the source's
-  // capacity at t = 0.5 stretches the remaining half to 1 s.
+  // capacity at t = 0.5 stretches the remaining half to 1 s. The
+  // restoring event (t = 100.5) is a daemon, so the run ends first.
+  FaultPlan plan;
+  plan.brownout(0.5, NodeId(1), 0.5, 100.0);
+  FaultInjector injector(net, plan);
+  injector.set_trace(&recorder);
+  std::optional<Seconds> done;
   net.start_message(NodeId(1), NodeId(2), megabytes(1.0),
                     [&](bool ok, Seconds elapsed) {
                       EXPECT_TRUE(ok);
                       done = elapsed;
                     });
-  sim.schedule(0.5, [&] { net.set_capacity_factor(NodeId(1), 0.5); });
   sim.run();
   ASSERT_TRUE(done.has_value());
   EXPECT_NEAR(*done, 1.5, 0.01);
-  EXPECT_EQ(tracer.count_label("node-brownout"), 1u);
+  std::vector<obs::trace::TraceRecord> brownouts;
+  for (const auto& record : recorder.events()) {
+    if (record.kind == obs::trace::TraceKind::kBrownout) brownouts.push_back(record);
+  }
+  ASSERT_EQ(brownouts.size(), 1u);
+  EXPECT_EQ(brownouts[0].trace, 0u);  // ambient
+  EXPECT_EQ(brownouts[0].node, NodeId(1));
+  EXPECT_EQ(brownouts[0].a, 500u);  // the factor in per mille
 }
 
 TEST(Network, CountersTrackActivity) {

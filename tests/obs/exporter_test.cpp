@@ -2,74 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "peerlab/obs/span.hpp"
 #include "peerlab/sim/simulator.hpp"
-#include "peerlab/sim/trace.hpp"
 
 namespace peerlab::obs {
 namespace {
-
-TEST(ScopedSpan, RecordsVirtualElapsed) {
-  sim::Simulator sim;
-  Histogram h;
-  sim.schedule(1.0, [&] {
-    auto* span = new ScopedSpan(&h, sim);
-    sim.schedule(2.5, [span] { delete span; });
-  });
-  sim.run();
-  ASSERT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.min(), 2.5);
-}
-
-TEST(ScopedSpan, NullHistogramIsNoop) {
-  sim::Simulator sim;
-  ScopedSpan span(nullptr, sim);
-  span.finish();  // must not crash
-}
-
-TEST(ScopedSpan, CancelSuppressesRecording) {
-  sim::Simulator sim;
-  Histogram h;
-  {
-    ScopedSpan span(&h, sim);
-    span.cancel();
-  }
-  EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(ScopedSpan, FinishRecordsOnceOnly) {
-  sim::Simulator sim;
-  Histogram h;
-  {
-    ScopedSpan span(&h, sim);
-    span.finish();
-  }  // destructor must not double-record
-  EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(WallSpan, RecordsNonNegativeWallTime) {
-  Histogram h;
-  { WallSpan span(&h); }
-  ASSERT_EQ(h.count(), 1u);
-  EXPECT_GE(h.min(), 0.0);
-}
-
-TEST(RunProfiled, MatchesPlainRunAndTerminatesWithDaemons) {
-  sim::Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule(i * 0.1, [&] { ++fired; });
-  }
-  // A self-rescheduling daemon must not keep the profiler spinning.
-  std::function<void()> heartbeat = [&] { sim.schedule_daemon(0.05, heartbeat); };
-  sim.schedule_daemon(0.05, heartbeat);
-
-  Histogram h;
-  const std::uint64_t executed = run_profiled(sim, &h, /*batch=*/4);
-  EXPECT_EQ(fired, 10);
-  EXPECT_GE(executed, 10u);
-  EXPECT_GE(h.count(), 1u);
-}
 
 TEST(SnapshotExporter, PeriodicRowsAndCsv) {
   sim::Simulator sim;
@@ -103,26 +39,6 @@ TEST(SnapshotExporter, PeriodicRowsAndCsv) {
   EXPECT_NE(csv.find("1,net.datagrams_sent,value,2"), std::string::npos);
   EXPECT_NE(csv.find("2,net.datagrams_sent,value,5"), std::string::npos);
   EXPECT_NE(csv.find("lat,p50"), std::string::npos);
-}
-
-TEST(SnapshotExporter, TrackedTracerDropsSurfaceAsCounterAndWarning) {
-  sim::Simulator sim;
-  MetricRegistry reg;
-  sim::Tracer tracer(/*capacity=*/2);
-  SnapshotExporter exporter(sim, reg);
-  exporter.track_tracer(tracer, reg);
-
-  // No drops yet: counter is zero and the JSON carries no warning.
-  EXPECT_EQ(reg.counter("trace.dropped", "events").value(), 0u);
-  EXPECT_EQ(exporter.json("t").find("\"warnings\""), std::string::npos);
-
-  for (int i = 0; i < 5; ++i) {
-    tracer.record(0.0, sim::TraceCategory::kNetwork, "m");
-  }
-  const std::string json = exporter.json("t");
-  EXPECT_EQ(reg.counter("trace.dropped", "events").value(), 3u);
-  EXPECT_NE(json.find("\"warnings\""), std::string::npos);
-  EXPECT_NE(json.find("3 events dropped"), std::string::npos);
 }
 
 TEST(SnapshotExporter, DestructionCancelsDaemon) {

@@ -17,12 +17,10 @@
 #include <vector>
 
 #include "peerlab/net/fault_plan.hpp"
-#include "peerlab/obs/exporter.hpp"
 #include "peerlab/obs/metrics.hpp"
 #include "peerlab/obs/trace.hpp"
 #include "peerlab/obs/watchdog.hpp"
 #include "peerlab/planetlab/deployment.hpp"
-#include "peerlab/sim/trace.hpp"
 
 namespace peerlab::obs {
 namespace {
@@ -79,9 +77,6 @@ TEST(MetricsDoc, CatalogueMatchesRegisteredInstruments) {
   Watchdog watchdog(recorder);
   recorder.attach_metrics(registry);
   watchdog.attach_metrics(registry);
-  sim::Tracer tracer;  // trace.dropped, via the exporter's tracker
-  SnapshotExporter exporter(sim, registry);
-  exporter.track_tracer(tracer, registry);
 
   std::set<std::string> registered;
   {

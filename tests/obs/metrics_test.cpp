@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "peerlab/obs/profile.hpp"
+
 namespace peerlab::obs {
 namespace {
 
@@ -230,6 +232,29 @@ TEST(Registry, JsonSummaryHasFlatMetricsMap) {
   EXPECT_NE(json.find("\"overlay.selection.latency_s.p50\""), std::string::npos);
   EXPECT_NE(json.find("\"overlay.selection.latency_s.p99\""), std::string::npos);
   EXPECT_NE(json.find("\"unit\": \"s\""), std::string::npos);
+}
+
+TEST(WallProfiler, NestedSpansChargeInclusiveAndSelfTime) {
+  MetricRegistry registry;
+  WallProfiler profiler(registry);
+  {
+    const WallProfiler::Span outer(&profiler, "outer");
+    const WallProfiler::Span inner(&profiler, "inner");
+  }
+  const WallProfiler::Site& outer = profiler.site("outer");
+  const WallProfiler::Site& inner = profiler.site("inner");
+  ASSERT_EQ(outer.wall->count(), 1u);
+  ASSERT_EQ(inner.wall->count(), 1u);
+  EXPECT_GE(inner.wall->max(), 0.0);
+  EXPECT_GE(outer.wall->max(), inner.wall->max());
+  // Self time is inclusive time minus the direct children's.
+  EXPECT_DOUBLE_EQ(inner.self->value(), inner.wall->max());
+  EXPECT_DOUBLE_EQ(outer.self->value(), outer.wall->max() - inner.wall->max());
+
+  // A span on a null profiler is inert: it registers nothing.
+  const std::size_t instruments = registry.entries().size();
+  { const WallProfiler::Span inert(nullptr, "inert"); }
+  EXPECT_EQ(registry.entries().size(), instruments);
 }
 
 }  // namespace
