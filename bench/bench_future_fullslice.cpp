@@ -7,11 +7,6 @@
 #include <map>
 
 #include "bench_common.hpp"
-#include "peerlab/core/blind.hpp"
-#include "peerlab/core/data_evaluator.hpp"
-#include "peerlab/core/economic.hpp"
-#include "peerlab/core/hybrid.hpp"
-#include "peerlab/planetlab/deployment.hpp"
 
 using namespace peerlab;
 using namespace peerlab::experiments;
@@ -25,29 +20,19 @@ struct StreamResult {
   int distinct_executors = 0;
 };
 
-std::unique_ptr<core::SelectionModel> make_model(int index) {
-  switch (index) {
-    case 1: return std::make_unique<core::EconomicSchedulingModel>();
-    case 2:
-      return std::make_unique<core::DataEvaluatorModel>(
-          core::DataEvaluatorModel::same_priority());
-    case 3: return std::make_unique<core::HybridModel>();
-    default: return std::make_unique<core::BlindModel>();
-  }
-}
+constexpr Model kModels[4] = {Model::kBlind, Model::kEconomic, Model::kSamePriority,
+                              Model::kHybrid};
 
-StreamResult run_stream(std::uint64_t seed, int model) {
-  sim::Simulator sim(seed);
+StreamResult run_stream(const RunOptions& options, std::uint64_t seed, int model) {
   planetlab::DeploymentOptions opts;
   opts.full_slice = true;
   opts.brokers = 2;
   opts.boot_time = 90.0;
-  planetlab::Deployment dep(sim, opts);
-  dep.boot();
-  for (std::size_t b = 0; b < dep.broker_count(); ++b) {
-    dep.broker_at(b).set_selection_model(make_model(model));
-  }
-  overlay::Primitives api(dep.control());
+  World world(options, seed, opts);
+  sim::Simulator& sim = world.sim();
+  world.dep().boot();
+  world.bind(kModels[model]);
+  overlay::Primitives api(world.dep().control());
 
   StreamResult result;
   double turnaround_sum = 0.0;
@@ -65,7 +50,7 @@ StreamResult run_stream(std::uint64_t seed, int model) {
       });
     });
   }
-  sim.run();
+  world.run();
   if (result.completed > 0) {
     result.mean_turnaround = turnaround_sum / result.completed;
   }
@@ -89,7 +74,7 @@ int main(int argc, char** argv) {
   for (int m = 0; m < 4; ++m) {
     sim::Summary completed, turnaround, makespan, spread;
     for (int rep = 0; rep < options.repetitions; ++rep) {
-      const auto r = run_stream(repetition_seed(options, rep) + m, m);
+      const auto r = run_stream(options, repetition_seed(options, rep) + m, m);
       completed.add(r.completed);
       turnaround.add(r.mean_turnaround);
       makespan.add(to_minutes(r.makespan));

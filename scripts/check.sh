@@ -16,7 +16,8 @@ ctest --test-dir build -j "$(nproc)" --timeout 180 --output-on-failure
 cmake -B build-asan -S . -DPEERLAB_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$(nproc)" \
   --target test_net test_overlay test_stats test_adversary test_econ test_property \
-  test_flow_differential test_selection_differential bench_churn bench_adversarial bench_economic
+  test_flow_differential test_selection_differential test_planetlab test_experiments \
+  bench_churn bench_adversarial bench_economic
 build-asan/tests/test_net \
   --gtest_filter='FaultPlan.*:FaultInjector.*:Network.*:FlowScheduler.*'
 build-asan/tests/test_overlay --gtest_filter='Failover.*:Distribution.*'
@@ -26,6 +27,12 @@ build-asan/tests/test_overlay --gtest_filter='Failover.*:Distribution.*'
 build-asan/tests/test_stats
 build-asan/tests/test_overlay \
   --gtest_filter='Broker.*:BrokerDefense.*:ReputationBook.*:ReplicaSet.*:ReplicaFailover.*'
+# Teardown order sanitized: a Deployment or experiment World destroyed
+# with a flow in flight (metrics, profiling and tracing attached) must
+# cancel into live instruments, and the scenario drivers run threaded
+# with a registry attached.
+build-asan/tests/test_planetlab --gtest_filter='Deployment.*'
+build-asan/tests/test_experiments
 # Adversarial actuation paths sanitized: scripted refusals, flapper
 # aborts and doctored heartbeats all tear down transfer state from
 # inside callbacks, exactly where use-after-frees would hide.

@@ -1,48 +1,19 @@
 #include "peerlab/experiments/adversarial.hpp"
 
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "peerlab/adversary/behavior_plan.hpp"
 #include "peerlab/common/check.hpp"
-#include "peerlab/core/data_evaluator.hpp"
-#include "peerlab/core/economic.hpp"
-#include "peerlab/core/hybrid.hpp"
-#include "peerlab/core/user_preference.hpp"
 
 namespace peerlab::experiments {
 
 namespace {
 
-using overlay::DistributionOptions;
 using overlay::FileService;
 using planetlab::Deployment;
 using transport::FileTransferConfig;
-using transport::TransferResult;
-
-/// Transfer knobs tuned like bench_churn's: a refusing peer should
-/// trigger failover after ~two minutes of petition retries, not a
-/// quarter hour.
-FileTransferConfig adv_transfer() {
-  FileTransferConfig cfg;
-  cfg.petition_retry.initial_timeout = 15.0;
-  cfg.petition_retry.backoff = 1.5;
-  cfg.petition_retry.max_attempts = 4;
-  cfg.confirm_timeout = 30.0;
-  cfg.max_confirm_queries = 6;
-  cfg.max_part_attempts = 6;
-  return cfg;
-}
-
-DistributionOptions adv_failover() {
-  DistributionOptions options;
-  options.max_failovers_per_share = 4;
-  options.backoff_initial = 10.0;
-  options.backoff_factor = 2.0;
-  options.backoff_cap = 120.0;
-  return options;
-}
 
 struct AdvRun {
   double makespan = 0.0;
@@ -60,22 +31,24 @@ struct AdvRun {
 /// adversary subset is drawn from a forked stream, so the same seed
 /// scripts the same peers in both arms and the cells differ only in
 /// the broker's defense posture.
-AdvRun adversarial_run(const RunOptions& options, std::uint64_t seed, int model,
-                       int adversaries, bool defended) {
-  sim::Simulator sim(seed);
+AdvRun adversarial_run(const RunOptions& options, Repetition& rep, int model, int level,
+                       bool defended) {
   planetlab::DeploymentOptions dep_options;
   if (defended) dep_options.broker.reputation = adversarial_defense_config();
-  Deployment dep(sim, dep_options);
-  obs::MetricRegistry registry;
-  if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
+  World world(options, rep.seed, dep_options);
+  sim::Simulator& sim = world.sim();
+  Deployment& dep = world.dep();
+  const std::string name = kAdvModelNames[model];
+  const std::string posture = defended ? ".defended" : "";
+  world.observe(rep, name + "." + kAdvLabels[level] + posture);
 
-  if (adversaries > 0) {
+  if (kAdvCounts[level] > 0) {
     std::vector<PeerId> pool;
     for (int i = 1; i <= 8; ++i) pool.push_back(dep.sc_peer(i));
     sim::Rng pick = sim.rng().fork(0x5E1EC7ull);
     pick.shuffle(pool);
     adversary::BehaviorPlan plan;
-    for (int i = 0; i < adversaries; ++i) {
+    for (int i = 0; i < kAdvCounts[level]; ++i) {
       plan.free_rider(pool[static_cast<std::size_t>(i)]);
       plan.stats_liar(pool[static_cast<std::size_t>(i)], kAdvPraisePerHeartbeat,
                       kAdvFabricatedRate);
@@ -88,77 +61,31 @@ AdvRun adversarial_run(const RunOptions& options, std::uint64_t seed, int model,
   // has a record for every peer. Transfers towards leeches fail here
   // ("petition unanswered"), which is exactly the attributed evidence
   // the defended broker ranks on later.
-  Seconds at = sim.now() + 10.0;
-  for (int i = 1; i <= 8; ++i) {
-    sim.schedule_at(at, [&dep, i] {
-      FileTransferConfig cfg = adv_transfer();
-      cfg.file_size = megabytes(2.0);
-      cfg.parts = 2;
-      dep.control().files().send_file(dep.sc_peer(i), cfg, [](const TransferResult&) {});
-      dep.control().messaging().send(dep.sc_peer(i), 0, [](bool, Seconds) {});
-    });
-    at += 300.0;
-  }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run_until(at + 300.0);
-  }
-
-  switch (model) {
-    case 0:
-      dep.broker().set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-      break;
-    case 1:
-      dep.broker().set_selection_model(std::make_unique<core::DataEvaluatorModel>(
-          core::DataEvaluatorModel::same_priority()));
-      break;
-    case 2: {
-      std::vector<PeerId> known;
-      for (int i = 1; i <= 8; ++i) known.push_back(dep.sc_peer(i));
-      dep.broker().set_selection_model(std::make_unique<core::UserPreferenceModel>(
-          core::UserPreferenceModel::quick_peer(dep.broker().history(), known)));
-      break;
-    }
-    default:
-      dep.broker().set_selection_model(std::make_unique<core::HybridModel>());
-      break;
-  }
+  FileTransferConfig warm = failover_transfer();
+  warm.file_size = megabytes(2.0);
+  warm.parts = 2;
+  world.warm_up(warm, /*rounds=*/1, /*spacing=*/300.0);
+  world.bind(static_cast<Model>(model));
 
   // Broker-mediated selection of the initial share holders.
-  std::vector<PeerId> selected;
-  {
-    core::SelectionContext ctx;
-    ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
-    ctx.payload_size = kAdvFileSize;
-    ctx.now = sim.now();
-    bool got = false;
-    dep.control().request_selection(ctx, kAdvFanout, [&](std::vector<PeerId> peers) {
-      selected = std::move(peers);
-      got = true;
-    });
-    {
-      const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-      sim.run_until(sim.now() + 300.0);
-    }
-    PEERLAB_CHECK_MSG(got && selected.size() >= 1, "adversarial selection failed");
-    if (selected.size() > kAdvFanout) selected.resize(kAdvFanout);
-  }
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = kAdvFileSize;
+  ctx.trace = world.root();
+  const World::Selection selection = world.select(ctx, kAdvFanout, /*window=*/300.0);
 
   AdvRun run;
   bool done = false;
   dep.control().files().distribute(
-      kAdvFileSize, kAdvParts, selected, adv_transfer(),
+      kAdvFileSize, kAdvParts, selection.peers, failover_transfer(),
       [&](const FileService::DistributionResult& result) {
         run.makespan = result.makespan();
         run.failovers = static_cast<double>(result.failovers);
         run.complete = result.complete;
         done = true;
       },
-      adv_failover());
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run();
-  }
+      failover_options());
+  world.run();
   PEERLAB_CHECK_MSG(done, "adversarial distribution never resolved");
   if (dep.adversaries() != nullptr) {
     run.refusals = static_cast<double>(dep.adversaries()->refusals_decided());
@@ -167,8 +94,7 @@ AdvRun adversarial_run(const RunOptions& options, std::uint64_t seed, int model,
     run.lies = static_cast<double>(dep.broker().reputation().lies_recorded());
     run.quarantines = static_cast<double>(dep.broker().reputation().quarantines_imposed());
   }
-  merge_metrics(options, registry,
-                std::string(".") + kAdvModelNames[model] + (defended ? ".defended" : ""));
+  world.finish("." + name + posture);
   return run;
 }
 
@@ -192,7 +118,7 @@ AdversarialResult run_bench_adversarial(const RunOptions& options) {
     AdvRun on;
   };
   using Rep = std::array<std::array<CellRuns, kAdvLevels>, kAdvModels>;
-  const auto reps = run_repetitions<Rep>(options, [&options](std::uint64_t seed, int) {
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
     Rep rep;
     for (int m = 0; m < kAdvModels; ++m) {
       for (int level = 0; level < kAdvLevels; ++level) {
@@ -200,10 +126,8 @@ AdversarialResult run_bench_adversarial(const RunOptions& options) {
         // and identical adversary subsets, so each pair isolates the
         // defense posture and each column the adversary pressure.
         auto& cell = rep[static_cast<std::size_t>(m)][static_cast<std::size_t>(level)];
-        cell.off = adversarial_run(options, seed, m, kAdvCounts[level],
-                                   /*defended=*/false);
-        cell.on = adversarial_run(options, seed, m, kAdvCounts[level],
-                                  /*defended=*/true);
+        cell.off = adversarial_run(options, r, m, level, /*defended=*/false);
+        cell.on = adversarial_run(options, r, m, level, /*defended=*/true);
       }
     }
     return rep;

@@ -1,46 +1,17 @@
 #include "peerlab/experiments/churn.hpp"
 
-#include <memory>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "peerlab/common/check.hpp"
-#include "peerlab/core/data_evaluator.hpp"
-#include "peerlab/core/economic.hpp"
-#include "peerlab/core/user_preference.hpp"
 
 namespace peerlab::experiments {
 
 namespace {
 
-using overlay::DistributionOptions;
 using overlay::FileService;
 using planetlab::Deployment;
 using transport::FileTransferConfig;
-using transport::TransferResult;
-
-/// Transfer knobs tuned for churn: petitions give up after ~a minute
-/// (a dead peer should trigger failover, not a quarter hour of
-/// retries) and a part gets a bounded retransmission budget.
-FileTransferConfig churn_transfer() {
-  FileTransferConfig cfg;
-  cfg.petition_retry.initial_timeout = 15.0;
-  cfg.petition_retry.backoff = 1.5;
-  cfg.petition_retry.max_attempts = 4;
-  cfg.confirm_timeout = 30.0;
-  cfg.max_confirm_queries = 6;
-  cfg.max_part_attempts = 6;
-  return cfg;
-}
-
-DistributionOptions churn_failover() {
-  DistributionOptions options;
-  options.max_failovers_per_share = 4;
-  options.backoff_initial = 10.0;
-  options.backoff_factor = 2.0;
-  options.backoff_cap = 120.0;
-  return options;
-}
 
 struct ChurnRun {
   double makespan = 0.0;
@@ -61,60 +32,32 @@ struct ChurnRun {
 /// into the shared registry under a per-model (and per-arm) suffix;
 /// the churn plan installed mid-run attaches itself through the
 /// deployment's remembered registry.
-ChurnRun churn_run(const RunOptions& options, std::uint64_t seed, Model model,
-                   double mttf, bool crash_broker) {
-  sim::Simulator sim(seed);
+ChurnRun churn_run(const RunOptions& options, Repetition& rep, Model model, int level,
+                   bool crash_broker) {
   planetlab::DeploymentOptions dep_options;
   dep_options.standby_brokers = 1;
-  Deployment dep(sim, dep_options);
-  obs::MetricRegistry registry;
-  if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
+  World world(options, rep.seed, dep_options);
+  sim::Simulator& sim = world.sim();
+  Deployment& dep = world.dep();
+  const std::string name = kModelNames[static_cast<int>(model)];
+  const std::string arm = crash_broker ? ".broker-crash" : "";
+  world.observe(rep, name + "." + kChurnLabels[level] + arm);
   dep.boot();
 
   // Warm-up: one small transfer + chat per SC, serially, so the
   // broker's history ranks every peer (the quick-peer model freezes
   // that impression, the data evaluator keeps updating it).
-  Seconds at = sim.now() + 10.0;
-  for (int i = 1; i <= 8; ++i) {
-    sim.schedule_at(at, [&dep, i] {
-      FileTransferConfig cfg = churn_transfer();
-      cfg.file_size = megabytes(2.0);
-      cfg.parts = 2;
-      dep.control().files().send_file(dep.sc_peer(i), cfg, [](const TransferResult&) {});
-      dep.control().messaging().send(dep.sc_peer(i), 0, [](bool, Seconds) {});
-    });
-    at += 300.0;
-  }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run_until(at + 300.0);
-  }
+  FileTransferConfig warm = failover_transfer();
+  warm.file_size = megabytes(2.0);
+  warm.parts = 2;
+  world.warm_up(warm, /*rounds=*/1, /*spacing=*/300.0);
 
   // Both brokers get the model: the standby's copy binds to its own
   // (replicated) history, so a post-failover selection judges peers on
   // the warm-up record the primary streamed over — not on cold state.
   // This matters most for quick-peer, which freezes its ranking at
   // construction from whatever history it is handed.
-  const auto set_model = [&](overlay::BrokerPeer& broker) {
-    switch (model) {
-      case Model::kEconomic:
-        broker.set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-        break;
-      case Model::kSamePriority:
-        broker.set_selection_model(std::make_unique<core::DataEvaluatorModel>(
-            core::DataEvaluatorModel::same_priority()));
-        break;
-      case Model::kQuickPeer: {
-        std::vector<PeerId> known;
-        for (int i = 1; i <= 8; ++i) known.push_back(dep.sc_peer(i));
-        broker.set_selection_model(std::make_unique<core::UserPreferenceModel>(
-            core::UserPreferenceModel::quick_peer(broker.history(), known)));
-        break;
-      }
-    }
-  };
-  set_model(dep.broker());
-  set_model(dep.standby_at(0));
+  world.bind(model);
 
   // Churn window: covers selection and the whole distribution. Client
   // nodes churn per the MTTF/MTTR renewal plan; in the broker-crash
@@ -123,10 +66,10 @@ ChurnRun churn_run(const RunOptions& options, std::uint64_t seed, Model model,
   // window, so the distribution start time is deterministic).
   const Seconds distribution_start = sim.now() + 300.0;
   net::FaultPlan plan;
-  if (mttf > 0.0) {
+  if (kChurnMttf[level] > 0.0) {
     sim::Rng churn_rng = sim.rng().fork(0xC4A54ull);
-    plan = net::FaultPlan::random_churn(churn_rng, dep.client_nodes(), mttf, kChurnMttr,
-                                        sim.now(), sim.now() + 6000.0);
+    plan = net::FaultPlan::random_churn(churn_rng, dep.client_nodes(), kChurnMttf[level],
+                                        kChurnMttr, sim.now(), sim.now() + 6000.0);
   }
   if (crash_broker) {
     net::FaultPlan broker_kill;
@@ -136,46 +79,30 @@ ChurnRun churn_run(const RunOptions& options, std::uint64_t seed, Model model,
   if (!plan.empty()) dep.install_faults(std::move(plan));
 
   // Broker-mediated selection of the initial share holders.
-  std::vector<PeerId> selected;
-  {
-    core::SelectionContext ctx;
-    ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
-    ctx.payload_size = kChurnFileSize;
-    ctx.now = sim.now();
-    bool got = false;
-    dep.control().request_selection(ctx, kChurnFanout, [&](std::vector<PeerId> peers) {
-      selected = std::move(peers);
-      got = true;
-    });
-    {
-      const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-      sim.run_until(sim.now() + 300.0);
-    }
-    PEERLAB_CHECK_MSG(got && selected.size() >= 1, "churn selection failed");
-    if (selected.size() > kChurnFanout) selected.resize(kChurnFanout);
-  }
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = kChurnFileSize;
+  ctx.trace = world.root();
+  const World::Selection selection = world.select(ctx, kChurnFanout, /*window=*/300.0);
 
   ChurnRun run;
   bool done = false;
   dep.control().files().distribute(
-      kChurnFileSize, kChurnParts, selected, churn_transfer(),
+      kChurnFileSize, kChurnParts, selection.peers, failover_transfer(),
       [&](const FileService::DistributionResult& result) {
         run.makespan = result.makespan();
         run.failovers = static_cast<double>(result.failovers);
         run.complete = result.complete;
         done = true;
       },
-      churn_failover());
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run();
-  }
+      failover_options());
+  world.run();
   PEERLAB_CHECK_MSG(done, "churn distribution never resolved");
   if (crash_broker) {
     // A fast distribution can outrun the crash+detection window; keep
     // the clock moving a little so the election always happens and the
     // arm's replica metrics mean the same thing in every cell.
-    sim.run_until(sim.now() + kBrokerElectionGrace);
+    world.run_until(sim.now() + kBrokerElectionGrace);
   }
   if (dep.faults() != nullptr) {
     run.crashes = static_cast<double>(dep.faults()->crashes_applied());
@@ -184,9 +111,7 @@ ChurnRun churn_run(const RunOptions& options, std::uint64_t seed, Model model,
     run.elections = static_cast<double>(dep.replicas()->elections());
     run.deltas_streamed = static_cast<double>(dep.replicas()->deltas_streamed());
   }
-  merge_metrics(options, registry,
-                std::string(".") + kModelNames[static_cast<int>(model)] +
-                    (crash_broker ? ".broker-crash" : ""));
+  world.finish("." + name + arm);
   return run;
 }
 
@@ -198,7 +123,7 @@ ChurnResult run_bench_churn(const RunOptions& options) {
     ChurnRun broker;
   };
   using Rep = std::array<std::array<CellRuns, kChurnLevels>, 3>;
-  const auto reps = run_repetitions<Rep>(options, [&options](std::uint64_t seed, int) {
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
     Rep rep;
     for (int m = 0; m < 3; ++m) {
       for (int level = 0; level < kChurnLevels; ++level) {
@@ -208,10 +133,8 @@ ChurnResult run_bench_churn(const RunOptions& options) {
         // per-seed makespan difference isolates the cost of losing
         // the broker.
         auto& cell = rep[static_cast<std::size_t>(m)][static_cast<std::size_t>(level)];
-        cell.base = churn_run(options, seed, static_cast<Model>(m), kChurnMttf[level],
-                              /*crash_broker=*/false);
-        cell.broker = churn_run(options, seed, static_cast<Model>(m), kChurnMttf[level],
-                                /*crash_broker=*/true);
+        cell.base = churn_run(options, r, static_cast<Model>(m), level, /*crash_broker=*/false);
+        cell.broker = churn_run(options, r, static_cast<Model>(m), level, /*crash_broker=*/true);
       }
     }
     return rep;

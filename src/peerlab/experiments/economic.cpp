@@ -1,15 +1,9 @@
 #include "peerlab/experiments/economic.hpp"
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "peerlab/common/check.hpp"
-#include "peerlab/core/blind.hpp"
-#include "peerlab/core/economic.hpp"
-#include "peerlab/core/hybrid.hpp"
-#include "peerlab/core/user_preference.hpp"
 
 namespace peerlab::experiments {
 
@@ -25,11 +19,15 @@ struct EconRunCell {
   sim::Summary completion_time;
 };
 
+/// The model each arm binds. Blind (arm 0) and efficiency (arm 4)
+/// both rank blind; arm 4's contracts carry the kEfficiency objective
+/// so the engine re-orders the rotation by the Dubey–Tokekar score.
+constexpr Model kArmModel[kEconModels] = {Model::kBlind, Model::kEconomic, Model::kQuickPeer,
+                                          Model::kHybrid, Model::kBlind};
+
 /// One seeded world, one selection arm, one load level. The same seed
 /// builds the same world for every arm, so columns isolate the policy.
-EconRunCell economic_run(const RunOptions& options, std::uint64_t seed, int rep, int model,
-                         int load) {
-  sim::Simulator sim(seed);
+EconRunCell economic_run(const RunOptions& options, Repetition& rep, int model, int load) {
   planetlab::DeploymentOptions dep_options;
   // Fast heartbeats for every arm: under heavy load the informed
   // models only spread away from busy peers if the broker's snapshots
@@ -37,54 +35,21 @@ EconRunCell economic_run(const RunOptions& options, std::uint64_t seed, int rep,
   dep_options.client.heartbeat_interval = 5.0;
   const bool engine_on = model != 0;  // blind is the pristine baseline
   if (engine_on) dep_options.broker.econ = economic_engine_config();
-  Deployment dep(sim, dep_options);
-  obs::MetricRegistry registry;
-  if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
-  TraceSession trace(options, sim, dep, rep,
-                     std::string(kEconModelNames[model]) + "." + kEconLoadLabels[load]);
-  if (trace.active()) trace.attach_metrics(registry);
+  World world(options, rep.seed, dep_options);
+  sim::Simulator& sim = world.sim();
+  Deployment& dep = world.dep();
+  const std::string arm = std::string(kEconModelNames[model]) + "." + kEconLoadLabels[load];
+  world.observe(rep, arm);
   dep.boot();
 
   // Warm-up: one small transfer + chat per SC, serially, so the
   // estimators (and quick-peer's response-time ranking) have a record
   // for every peer before any contract is issued.
-  Seconds at = sim.now() + 10.0;
-  for (int i = 1; i <= 8; ++i) {
-    sim.schedule_at(at, [&dep, i] {
-      FileTransferConfig cfg;
-      cfg.file_size = megabytes(2.0);
-      cfg.parts = 2;
-      dep.control().files().send_file(dep.sc_peer(i), cfg, [](const TransferResult&) {});
-      dep.control().messaging().send(dep.sc_peer(i), 0, [](bool, Seconds) {});
-    });
-    at += 300.0;
-  }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run_until(at + 300.0);
-  }
-
-  switch (model) {
-    case 1:
-      dep.broker().set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-      break;
-    case 2: {
-      std::vector<PeerId> known;
-      for (int i = 1; i <= 8; ++i) known.push_back(dep.sc_peer(i));
-      dep.broker().set_selection_model(std::make_unique<core::UserPreferenceModel>(
-          core::UserPreferenceModel::quick_peer(dep.broker().history(), known)));
-      break;
-    }
-    case 3:
-      dep.broker().set_selection_model(std::make_unique<core::HybridModel>());
-      break;
-    default:
-      // Arms 0 (blind) and 4 (efficiency) both rank blind; arm 4's
-      // contracts carry the kEfficiency objective so the engine
-      // re-orders the rotation by the Dubey–Tokekar score.
-      dep.broker().set_selection_model(std::make_unique<core::BlindModel>());
-      break;
-  }
+  FileTransferConfig warm;
+  warm.file_size = megabytes(2.0);
+  warm.parts = 2;
+  world.warm_up(warm, /*rounds=*/1, /*spacing=*/300.0);
+  world.bind(kArmModel[model]);
 
   // One quoter prices every arm's picks on the identical schedule the
   // engine-enabled brokers shopped from, so ledger costs compare
@@ -105,7 +70,7 @@ EconRunCell economic_run(const RunOptions& options, std::uint64_t seed, int rep,
       ctx.deadline = issued + kEconDeadlineSlack;
       ctx.budget = kEconBudget;
       if (model == 4) ctx.objective = core::EconObjective::kEfficiency;
-      if (trace.active()) ctx.trace = trace.root();
+      ctx.trace = world.root();
       dep.control().request_selection(ctx, 1, [&, ctx, issued](std::vector<PeerId> peers) {
         if (peers.empty()) {
           cell.ledger.record({ctx.deadline, ctx.budget, 0.0, 0.0, false});
@@ -136,14 +101,9 @@ EconRunCell economic_run(const RunOptions& options, std::uint64_t seed, int rep,
       });
     });
   }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run();
-  }
+  world.run();
   PEERLAB_CHECK_MSG(done == kEconJobs, "economic job never resolved");
-  trace.finish();
-  merge_metrics(options, registry,
-                std::string(".") + kEconModelNames[model] + "." + kEconLoadLabels[load]);
+  world.finish("." + arm);
   return cell;
 }
 
@@ -157,17 +117,16 @@ econ::EconConfig economic_engine_config() {
 
 EconResult run_bench_economic(const RunOptions& options) {
   using Rep = std::array<std::array<EconRunCell, kEconLoads>, kEconModels>;
-  const auto reps =
-      run_repetitions<Rep>(options, [&options](std::uint64_t seed, int rep_index) {
-        Rep rep;
-        for (int m = 0; m < kEconModels; ++m) {
-          for (int load = 0; load < kEconLoads; ++load) {
-            rep[static_cast<std::size_t>(m)][static_cast<std::size_t>(load)] =
-                economic_run(options, seed, rep_index, m, load);
-          }
-        }
-        return rep;
-      });
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
+    Rep rep;
+    for (int m = 0; m < kEconModels; ++m) {
+      for (int load = 0; load < kEconLoads; ++load) {
+        rep[static_cast<std::size_t>(m)][static_cast<std::size_t>(load)] =
+            economic_run(options, r, m, load);
+      }
+    }
+    return rep;
+  });
 
   EconResult result;
   for (const auto& rep : reps) {

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
-#include <numeric>
 
 #include "peerlab/common/check.hpp"
-#include "peerlab/core/data_evaluator.hpp"
-#include "peerlab/core/economic.hpp"
-#include "peerlab/core/user_preference.hpp"
 
 namespace peerlab::experiments {
 
 namespace {
 
-using overlay::ClientPeer;
 using overlay::node_of;
 using planetlab::Deployment;
-using planetlab::DeploymentOptions;
 using transport::FileTransferConfig;
 using transport::TransferResult;
 
@@ -41,24 +34,20 @@ FileTransferConfig figure_transfer(Bytes size, int parts) {
 /// set, every transfer rides its own causal chain and the repetition's
 /// dump lands under `tag`.
 template <typename Extract>
-std::array<double, 8> per_peer_transfer_metric(const RunOptions& options,
-                                               std::uint64_t seed, int rep,
-                                               const std::string& tag, Bytes size,
-                                               int parts, Seconds stagger,
+std::array<double, 8> per_peer_transfer_metric(const RunOptions& options, Repetition& rep,
+                                               std::uint64_t seed, const std::string& tag,
+                                               Bytes size, int parts, Seconds stagger,
                                                Extract extract) {
-  sim::Simulator sim(seed);
-  Deployment dep(sim);
-  obs::MetricRegistry registry;
-  if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
-  TraceSession trace(options, sim, dep, rep, tag);
-  if (trace.active()) trace.attach_metrics(registry);
+  World world(options, seed);
+  world.observe(rep, tag);
+  Deployment& dep = world.dep();
   std::array<double, 8> values{};
   std::array<bool, 8> done{};
   for (int i = 1; i <= 8; ++i) {
     const PeerId dst = dep.sc_peer(i);
-    sim.schedule(static_cast<double>(i - 1) * stagger, [&, i, dst] {
+    world.sim().schedule(static_cast<double>(i - 1) * stagger, [&, i, dst] {
       FileTransferConfig cfg = figure_transfer(size, parts);
-      if (trace.active()) cfg.trace = trace.root();
+      cfg.trace = world.root();
       dep.control().files().send_file(dst, cfg,
                                       [&, i](const TransferResult& result) {
                                         PEERLAB_CHECK_MSG(result.complete,
@@ -69,13 +58,9 @@ std::array<double, 8> per_peer_transfer_metric(const RunOptions& options,
                                       });
     });
   }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run();
-  }
+  world.run();
   for (const bool d : done) PEERLAB_CHECK_MSG(d, "transfer never completed");
-  trace.finish();
-  merge_metrics(options, registry);
+  world.finish();
   return values;
 }
 
@@ -94,8 +79,8 @@ PerPeer run_fig2_petition(const RunOptions& options) {
   // for a file transmission. A small probe file keeps the data phase
   // out of the way.
   const auto reps = run_repetitions<std::array<double, 8>>(
-      options, [&options](std::uint64_t seed, int rep) {
-        return per_peer_transfer_metric(options, seed, rep, "", megabytes(1.0), 1,
+      options, [&options](Repetition& rep) {
+        return per_peer_transfer_metric(options, rep, rep.seed, "", megabytes(1.0), 1,
                                         /*stagger=*/600.0,
                                         [](const TransferResult& r) {
                                           return r.petition_time();
@@ -106,8 +91,8 @@ PerPeer run_fig2_petition(const RunOptions& options) {
 
 PerPeer run_fig3_transfer50(const RunOptions& options) {
   const auto reps = run_repetitions<std::array<double, 8>>(
-      options, [&options](std::uint64_t seed, int rep) {
-        return per_peer_transfer_metric(options, seed, rep, "", kFig3FileSize, 1,
+      options, [&options](Repetition& rep) {
+        return per_peer_transfer_metric(options, rep, rep.seed, "", kFig3FileSize, 1,
                                         /*stagger=*/30000.0,
                                         [](const TransferResult& r) {
                                           return r.transmission_time();
@@ -118,8 +103,8 @@ PerPeer run_fig3_transfer50(const RunOptions& options) {
 
 PerPeer run_fig4_last_mb(const RunOptions& options) {
   const auto reps = run_repetitions<std::array<double, 8>>(
-      options, [&options](std::uint64_t seed, int rep) {
-        return per_peer_transfer_metric(options, seed, rep, "", kFig3FileSize, 1,
+      options, [&options](Repetition& rep) {
+        return per_peer_transfer_metric(options, rep, rep.seed, "", kFig3FileSize, 1,
                                         /*stagger=*/30000.0,
                                         [](const TransferResult& r) {
                                           return r.last_mb_time();
@@ -134,24 +119,24 @@ Fig5Result run_fig5_granularity(const RunOptions& options) {
     std::array<double, 8> four;
     std::array<double, 8> sixteen;
   };
-  const auto reps = run_repetitions<Rep>(options, [&options](std::uint64_t seed, int n) {
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
     Rep rep;
     // Distinct sub-seeds per granularity: independent worlds, matching
     // the paper's independently-run configurations.
-    rep.whole = per_peer_transfer_metric(options, seed ^ 0x51ull, n, "whole",
+    rep.whole = per_peer_transfer_metric(options, r, r.seed ^ 0x51ull, "whole",
                                          kFig5FileSize, 1, 40000.0,
-                                         [](const TransferResult& r) {
-                                           return r.transmission_time();
+                                         [](const TransferResult& res) {
+                                           return res.transmission_time();
                                          });
-    rep.four = per_peer_transfer_metric(options, seed ^ 0x52ull, n, "p4",
+    rep.four = per_peer_transfer_metric(options, r, r.seed ^ 0x52ull, "p4",
                                         kFig5FileSize, 4, 40000.0,
-                                        [](const TransferResult& r) {
-                                          return r.transmission_time();
+                                        [](const TransferResult& res) {
+                                          return res.transmission_time();
                                         });
-    rep.sixteen = per_peer_transfer_metric(options, seed ^ 0x53ull, n, "p16",
+    rep.sixteen = per_peer_transfer_metric(options, r, r.seed ^ 0x53ull, "p16",
                                            kFig5FileSize, 16, 40000.0,
-                                           [](const TransferResult& r) {
-                                             return r.transmission_time();
+                                           [](const TransferResult& res) {
+                                             return res.transmission_time();
                                            });
     return rep;
   });
@@ -170,72 +155,20 @@ Fig5Result run_fig5_granularity(const RunOptions& options) {
 
 namespace {
 
-/// Figure 6 world: boots, runs a warm-up that builds broker history,
-/// then saturates two historically-quick peers (SC4, SC8) with
-/// background traffic so "current state" and "historical impression"
-/// disagree — the axis the three models differ on.
-struct Fig6World {
-  explicit Fig6World(std::uint64_t seed) : sim(seed), dep(sim) {
-    dep.boot();
-    warmup();
-    start_background();
-  }
-
-  void warmup() {
-    // Three 4 MB / 4-part transfers plus chats to every SC, serially,
-    // so the broker's history knows every peer's petition latency and
-    // achieved rate.
-    Seconds at = sim.now() + 10.0;
-    for (int i = 1; i <= 8; ++i) {
-      for (int round = 0; round < 3; ++round) {
-        sim.schedule_at(at, [this, i] {
-          dep.control().files().send_file(dep.sc_peer(i),
-                                          figure_transfer(megabytes(4.0), 4),
-                                          [](const TransferResult&) {});
-          dep.control().messaging().send(dep.sc_peer(i), 0, [](bool, Seconds) {});
-        });
-        at += 400.0;
-      }
-    }
-    sim.run_until(at + 400.0);
-  }
-
-  void start_background() {
-    // Six sustained bulk streams each towards SC4 and SC8: their
-    // downlinks saturate and their heartbeats report pending
-    // transfers. Each stream re-sends an 8 MB block (high per-flow
-    // rate cap, so the access link — not the degradation cap — is the
-    // bottleneck) a bounded number of times so the run still drains.
-    for (const int busy : {4, 8}) {
-      const NodeId dst = dep.sc(busy).node();
-      for (int f = 0; f < 6; ++f) {
-        background_stream(dst, /*remaining=*/40);
-      }
-    }
-    // Let two heartbeat rounds carry the new pending counts.
-    sim.run_until(sim.now() + 65.0);
-  }
-
-  void background_stream(NodeId dst, int remaining) {
-    if (remaining <= 0) return;
-    dep.network().start_message(dep.control().node(), dst, megabytes(8.0),
-                                [this, dst, remaining](bool, Seconds) {
-                                  background_stream(dst, remaining - 1);
-                                });
-  }
-
-  /// The user's frozen impression: peers ordered by their historical
-  /// quickness — built from broker history, never updated again.
-  [[nodiscard]] std::unique_ptr<core::SelectionModel> quick_peer_model() {
-    std::vector<PeerId> known;
-    for (int i = 1; i <= 8; ++i) known.push_back(dep.sc_peer(i));
-    return std::make_unique<core::UserPreferenceModel>(
-        core::UserPreferenceModel::quick_peer(dep.broker().history(), known));
-  }
-
-  sim::Simulator sim;
-  Deployment dep;
-};
+/// Saturates two historically-quick peers (SC4, SC8) so "current
+/// state" and "historical impression" disagree — the axis the three
+/// models differ on. Six sustained bulk streams each: their downlinks
+/// saturate and their heartbeats report pending transfers. Each stream
+/// re-sends an 8 MB block (high per-flow rate cap, so the access link —
+/// not the degradation cap — is the bottleneck) a bounded number of
+/// times so the run still drains.
+void background_stream(Deployment& dep, NodeId dst, int remaining) {
+  if (remaining <= 0) return;
+  dep.network().start_message(dep.control().node(), dst, megabytes(8.0),
+                              [&dep, dst, remaining](bool, Seconds) {
+                                background_stream(dep, dst, remaining - 1);
+                              });
+}
 
 /// Ideal (uncontended, lossless) duration of `n_parts` sequential
 /// parts of `part_size` into `node`: per-part wire time at the
@@ -247,77 +180,48 @@ Seconds ideal_parts_time(Deployment& dep, NodeId node, Bytes part_size, int n_pa
 }
 
 /// Runs the fig6 measurement for one model at one granularity.
-/// Returns the mean per-part selection-and-dispatch overhead. With
-/// options.metrics set, the run's instruments (selection latency,
-/// failovers, transfer counters, ...) are folded into the shared
-/// registry under a per-model suffix — attached *after* warmup, so
-/// the series cover only the measured workload.
-double fig6_overhead(const RunOptions& options, std::uint64_t seed, int rep, Model model,
-                     int parts) {
-  Fig6World world(seed);
-  Deployment& dep = world.dep;
-  sim::Simulator& sim = world.sim;
-  obs::MetricRegistry registry;
-  if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
-  // Attached after warmup, like the metrics: the traced window is the
-  // measured selection + dispatch workload only.
-  TraceSession trace(options, sim, dep, rep,
-                     std::string(kModelNames[static_cast<int>(model)]) + ".p" +
-                         std::to_string(parts));
-  if (trace.active()) trace.attach_metrics(registry);
-
-  switch (model) {
-    case Model::kEconomic:
-      dep.broker().set_selection_model(std::make_unique<core::EconomicSchedulingModel>());
-      break;
-    case Model::kSamePriority:
-      dep.broker().set_selection_model(
-          std::make_unique<core::DataEvaluatorModel>(core::DataEvaluatorModel::same_priority()));
-      break;
-    case Model::kQuickPeer:
-      dep.broker().set_selection_model(world.quick_peer_model());
-      break;
+/// Returns the mean per-part selection-and-dispatch overhead. The
+/// world boots, warms up so the broker's history knows every peer's
+/// petition latency and achieved rate, and starts the background
+/// load; only then is it observed, so the metric series (suffixed per
+/// model) and the trace cover just the measured workload.
+double fig6_overhead(const RunOptions& options, Repetition& rep, Model model, int parts) {
+  World world(options, rep.seed);
+  Deployment& dep = world.dep();
+  dep.boot();
+  world.warm_up(figure_transfer(megabytes(4.0), 4), /*rounds=*/3, /*spacing=*/400.0);
+  for (const int busy : {4, 8}) {
+    for (int f = 0; f < 6; ++f) background_stream(dep, dep.sc(busy).node(), /*remaining=*/40);
   }
+  // Let two heartbeat rounds carry the new pending counts.
+  world.run_until(world.sim().now() + 65.0);
+
+  const std::string name = kModelNames[static_cast<int>(model)];
+  world.observe(rep, name + ".p" + std::to_string(parts));
+  world.bind(model);
 
   const Bytes part_size = kFig5FileSize / parts;
 
   // 1. Broker-mediated selection over the wire.
-  std::vector<PeerId> selected;
-  Seconds selection_elapsed = 0.0;
-  const obs::trace::TraceContext workload = trace.root();
-  {
-    core::SelectionContext ctx;
-    ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
-    ctx.payload_size = kFig5FileSize;
-    ctx.now = sim.now();
-    ctx.trace = workload;
-    const Seconds asked = sim.now();
-    bool got = false;
-    dep.control().request_selection(ctx, static_cast<std::size_t>(parts),
-                                    [&](std::vector<PeerId> peers) {
-                                      selected = std::move(peers);
-                                      selection_elapsed = sim.now() - asked;
-                                      got = true;
-                                    });
-    {
-      const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-      sim.run_until(sim.now() + 120.0);
-    }
-    PEERLAB_CHECK_MSG(got && !selected.empty(), "selection failed");
-  }
+  const obs::trace::TraceContext workload = world.root();
+  core::SelectionContext ctx;
+  ctx.purpose = core::SelectionContext::Purpose::kFileTransfer;
+  ctx.payload_size = kFig5FileSize;
+  ctx.trace = workload;
+  const World::Selection selection =
+      world.select(ctx, static_cast<std::size_t>(parts), /*window=*/120.0);
 
   // 2. Round-robin the parts over the selected peers and send each
   //    peer its share as one multi-part transfer.
   std::map<PeerId, int> share;
   for (int p = 0; p < parts; ++p) {
-    share[selected[static_cast<std::size_t>(p) % selected.size()]] += 1;
+    share[selection.peers[static_cast<std::size_t>(p) % selection.peers.size()]] += 1;
   }
-  double overhead_sum = selection_elapsed;
+  double overhead_sum = selection.elapsed;
   int outstanding = 0;
   for (const auto& [peer, n] : share) {
     ++outstanding;
-    const NodeId node = node_of(peer);
-    const Seconds ideal = ideal_parts_time(dep, node, part_size, n);
+    const Seconds ideal = ideal_parts_time(dep, node_of(peer), part_size, n);
     FileTransferConfig cfg = figure_transfer(part_size * n, n);
     cfg.trace = workload;  // inactive while untraced
     dep.control().files().send_file(
@@ -328,14 +232,9 @@ double fig6_overhead(const RunOptions& options, std::uint64_t seed, int rep, Mod
           --outstanding;
         });
   }
-  {
-    const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-    sim.run();
-  }
+  world.run();
   PEERLAB_CHECK_MSG(outstanding == 0, "fig6 transfers did not drain");
-  trace.finish();
-  merge_metrics(options, registry,
-                std::string(".") + kModelNames[static_cast<int>(model)]);
+  world.finish("." + name);
   return overhead_sum / static_cast<double>(parts);
 }
 
@@ -346,14 +245,14 @@ Fig6Result run_fig6_models(const RunOptions& options) {
     std::array<double, 3> four;
     std::array<double, 3> sixteen;
   };
-  const auto reps = run_repetitions<Rep>(options, [&options](std::uint64_t seed, int n) {
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
     Rep rep;
     for (int m = 0; m < 3; ++m) {
       // Identical world per model (same seed): apples-to-apples.
       rep.four[static_cast<std::size_t>(m)] =
-          fig6_overhead(options, seed, n, static_cast<Model>(m), 4);
+          fig6_overhead(options, r, static_cast<Model>(m), 4);
       rep.sixteen[static_cast<std::size_t>(m)] =
-          fig6_overhead(options, seed, n, static_cast<Model>(m), 16);
+          fig6_overhead(options, r, static_cast<Model>(m), 16);
     }
     return rep;
   });
@@ -372,14 +271,12 @@ Fig7Result run_fig7_execution(const RunOptions& options) {
     std::array<double, 8> just_exec;
     std::array<double, 8> trans_exec;
   };
-  const auto reps = run_repetitions<Rep>(options, [&options](std::uint64_t seed, int n) {
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
     Rep rep{};
-    sim::Simulator sim(seed);
-    Deployment dep(sim);
-    obs::MetricRegistry registry;
-    if (options.metrics != nullptr) dep.attach_metrics(registry, options.profile);
-    TraceSession trace(options, sim, dep, n);
-    if (trace.active()) trace.attach_metrics(registry);
+    World world(options, r.seed);
+    world.observe(r);
+    sim::Simulator& sim = world.sim();
+    Deployment& dep = world.dep();
     dep.boot();
     std::array<bool, 8> done_a{}, done_b{};
 
@@ -418,16 +315,12 @@ Fig7Result run_fig7_execution(const RunOptions& options) {
       });
       at += 6000.0;
     }
-    {
-      const obs::WallProfiler::Span run_span(dep.profiler(), "run");
-      sim.run();
-    }
+    world.run();
     for (int i = 0; i < 8; ++i) {
       PEERLAB_CHECK_MSG(done_a[static_cast<std::size_t>(i)] && done_b[static_cast<std::size_t>(i)],
                         "fig7 task never finished");
     }
-    trace.finish();
-    merge_metrics(options, registry);
+    world.finish();
     return rep;
   });
 

@@ -1,15 +1,14 @@
 #pragma once
 
 // One entry point per figure of the paper's evaluation (Section 4).
-// Each builds fresh Deployments per repetition (seeded from RunOptions)
+// Each builds fresh worlds per repetition (seeded from RunOptions)
 // and returns summary statistics; the bench binaries print the tables
 // and verify the shapes. See DESIGN.md §5-6 for the experiment index
 // and metric notes.
 
 #include <array>
 
-#include "peerlab/experiments/harness.hpp"
-#include "peerlab/planetlab/deployment.hpp"
+#include "peerlab/experiments/world.hpp"
 
 namespace peerlab::experiments {
 
@@ -34,8 +33,6 @@ struct Fig5Result {
 [[nodiscard]] Fig5Result run_fig5_granularity(const RunOptions& options);
 
 // ---- Figure 6: selection models x granularity ----
-enum class Model : int { kEconomic = 0, kSamePriority = 1, kQuickPeer = 2 };
-inline constexpr const char* kModelNames[3] = {"economic", "same-priority", "quick-peer"};
 
 struct Fig6Result {
   /// Mean per-part selection-and-dispatch overhead (seconds); see

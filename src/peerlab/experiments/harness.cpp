@@ -1,9 +1,5 @@
 #include "peerlab/experiments/harness.hpp"
 
-#include <mutex>
-
-#include "peerlab/planetlab/deployment.hpp"
-
 namespace peerlab::experiments {
 
 std::uint64_t repetition_seed(const RunOptions& options, int rep) {
@@ -12,67 +8,26 @@ std::uint64_t repetition_seed(const RunOptions& options, int rep) {
   return options.base_seed + 0x9E3779B9ull * static_cast<std::uint64_t>(rep + 1);
 }
 
-TraceSession::TraceSession(const RunOptions& options, sim::Simulator& sim,
-                           planetlab::Deployment& dep, int rep, const std::string& tag) {
-  if (options.trace_path.empty()) return;
-  dep_ = &dep;
-  path_ = options.trace_path;
-  if (!tag.empty()) path_ += "." + tag;
-  if (options.repetitions > 1) path_ += ".rep" + std::to_string(rep);
-  recorder_ = std::make_unique<obs::trace::TraceRecorder>(sim);
-  watchdog_ = std::make_unique<obs::Watchdog>(*recorder_);
-  recorder_->arm_postmortem(path_ + ".postmortem.json");
-  dep.attach_tracing(recorder_.get());
-}
-
-TraceSession::~TraceSession() {
-  if (!finished_) finish();
-}
-
-obs::trace::TraceContext TraceSession::root() {
-  return recorder_ != nullptr ? recorder_->root() : obs::trace::TraceContext{};
-}
-
-void TraceSession::attach_metrics(obs::MetricRegistry& registry) {
-  if (recorder_ == nullptr) return;
-  recorder_->set_metrics_snapshot(&registry);
-  recorder_->attach_metrics(registry);
-  watchdog_->attach_metrics(registry);
-}
-
-std::uint64_t TraceSession::finish() {
-  finished_ = true;
-  if (recorder_ == nullptr) return 0;
-  watchdog_->finalize();
-  recorder_->write_jsonl(path_);
-  dep_->attach_tracing(nullptr);
-  return watchdog_->violations().size();
-}
-
-void merge_metrics(const RunOptions& options, const obs::MetricRegistry& rep_registry,
-                   const std::string& suffix) {
-  if (options.metrics == nullptr) return;
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (suffix.empty()) {
-    options.metrics->merge(rep_registry);
-    return;
-  }
-  for (const auto& entry : rep_registry.entries()) {
-    const std::string name = entry.name + suffix;
-    switch (entry.kind) {
-      case obs::InstrumentKind::kCounter:
-        options.metrics->counter(name, entry.unit).merge(*entry.counter);
-        break;
-      case obs::InstrumentKind::kGauge:
-        options.metrics->gauge(name, entry.unit).merge(*entry.gauge);
-        break;
-      case obs::InstrumentKind::kHistogram:
-        options.metrics->histogram(name, entry.unit, entry.histogram->options())
-            .merge(*entry.histogram);
-        break;
+void fold_metrics(const RunOptions& options, Repetition& rep) {
+  // World::finish stages a registry only while options.metrics is set.
+  for (const auto& [registry, suffix] : rep.staged) {
+    for (const auto& entry : registry->entries()) {
+      const std::string name = entry.name + suffix;
+      switch (entry.kind) {
+        case obs::InstrumentKind::kCounter:
+          options.metrics->counter(name, entry.unit).merge(*entry.counter);
+          break;
+        case obs::InstrumentKind::kGauge:
+          options.metrics->gauge(name, entry.unit).merge(*entry.gauge);
+          break;
+        case obs::InstrumentKind::kHistogram:
+          options.metrics->histogram(name, entry.unit, entry.histogram->options())
+              .merge(*entry.histogram);
+          break;
+      }
     }
   }
+  rep.staged.clear();
 }
 
 sim::Summary summarize(const std::vector<double>& samples) {

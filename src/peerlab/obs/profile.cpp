@@ -34,7 +34,7 @@ std::string profile_table(const MetricRegistry& registry) {
     if (e.kind != InstrumentKind::kHistogram) continue;
     if (e.name.rfind(kPrefix, 0) != 0) continue;
     // Accept `profile.<site>.wall_s` and the merged per-variant form
-    // `profile.<site>.wall_s<suffix>` that experiments::merge_metrics
+    // `profile.<site>.wall_s<suffix>` that experiments::fold_metrics
     // produces (e.g. `...wall_s.economic`); the suffix stays part of
     // the displayed site so per-variant rows remain distinct.
     const std::size_t wall_pos = e.name.find(kWall, kPrefix.size());

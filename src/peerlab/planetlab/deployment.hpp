@@ -109,9 +109,10 @@ class Deployment {
   /// peers), and the fault injector — including one installed later.
   /// `registry` must outlive the deployment. Zero-cost when never
   /// called; `wall_profiling` additionally stands up a WallProfiler
-  /// whose spans (run / flows.relevel / flows.waterfill /
+  /// whose sites (run / flows.relevel / flows.waterfill /
   /// selection.rank) are registered eagerly so the instrument
-  /// inventory does not depend on which paths execute.
+  /// inventory does not depend on which paths execute. The "run" span
+  /// itself is opened by experiments::World around its sim runs.
   void attach_metrics(obs::MetricRegistry& registry, bool wall_profiling = false);
 
   /// Attaches (or detaches with nullptr) the causal-trace recorder
@@ -125,14 +126,19 @@ class Deployment {
   void attach_tracing(obs::trace::TraceRecorder* recorder);
 
   /// The deployment-wide span profiler; null unless attach_metrics ran
-  /// with wall_profiling. Harnesses wrap their sim run in its "run"
-  /// site so subsystem spans get a parent to charge against.
+  /// with wall_profiling. experiments::World opens its "run" span
+  /// around every sim run, so subsystem spans get a parent to charge
+  /// against.
   [[nodiscard]] obs::WallProfiler* profiler() noexcept { return profiler_.get(); }
 
  private:
   sim::Simulator& sim_;
   DeploymentOptions options_;
   overlay::OverlayDirectories directories_;
+  // Declared before everything that opens its spans: a client torn
+  // down with a flow in flight cancels it, and the re-level that
+  // follows runs under the profiler.
+  std::unique_ptr<obs::WallProfiler> profiler_;  // set when wall_profiling
   std::optional<net::Network> network_;
   std::optional<transport::TransportFabric> fabric_;
   void on_broker_failover(const overlay::ReplicaSet::FailoverEvent& event);
@@ -147,7 +153,6 @@ class Deployment {
   std::unique_ptr<adversary::BehaviorEngine> behaviors_;
   obs::MetricRegistry* metrics_ = nullptr;  // set by attach_metrics
   obs::trace::TraceRecorder* trace_ = nullptr;  // set by attach_tracing
-  std::unique_ptr<obs::WallProfiler> profiler_;  // set when wall_profiling
   std::array<NodeId, 8> sc_nodes_{};
 };
 

@@ -27,8 +27,8 @@ TEST(Harness, ResultsArriveInRepetitionOrder) {
   RunOptions options;
   options.repetitions = 16;
   options.threads = 4;
-  const auto results = run_repetitions<int>(
-      options, [](std::uint64_t, int rep) { return rep * 10; });
+  const auto results =
+      run_repetitions<int>(options, [](Repetition& rep) { return rep.index * 10; });
   ASSERT_EQ(results.size(), 16u);
   for (int rep = 0; rep < 16; ++rep) {
     EXPECT_EQ(results[static_cast<std::size_t>(rep)], rep * 10);
@@ -36,10 +36,10 @@ TEST(Harness, ResultsArriveInRepetitionOrder) {
 }
 
 TEST(Harness, ParallelAndSerialProduceIdenticalResults) {
-  auto body = [](std::uint64_t seed, int rep) {
-    sim::Rng rng(seed);
+  auto body = [](Repetition& rep) {
+    sim::Rng rng(rep.seed);
     double sum = 0.0;
-    for (int i = 0; i <= rep; ++i) sum += rng.uniform();
+    for (int i = 0; i <= rep.index; ++i) sum += rng.uniform();
     return sum;
   };
   RunOptions serial;
@@ -57,9 +57,9 @@ TEST(Harness, WorkerExceptionsPropagate) {
   options.repetitions = 4;
   options.threads = 2;
   EXPECT_THROW(run_repetitions<int>(options,
-                                    [](std::uint64_t, int rep) -> int {
-                                      if (rep == 2) throw std::runtime_error("boom");
-                                      return rep;
+                                    [](Repetition& rep) -> int {
+                                      if (rep.index == 2) throw std::runtime_error("boom");
+                                      return rep.index;
                                     }),
                std::runtime_error);
 }
@@ -67,7 +67,7 @@ TEST(Harness, WorkerExceptionsPropagate) {
 TEST(Harness, RejectsZeroRepetitions) {
   RunOptions options;
   options.repetitions = 0;
-  EXPECT_THROW(run_repetitions<int>(options, [](std::uint64_t, int) { return 0; }),
+  EXPECT_THROW(run_repetitions<int>(options, [](Repetition&) { return 0; }),
                InvariantError);
 }
 

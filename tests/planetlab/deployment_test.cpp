@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "peerlab/obs/metrics.hpp"
+
 namespace peerlab::planetlab {
 namespace {
 
@@ -65,6 +67,28 @@ TEST(Deployment, Sc7PetitionDelayDwarfsSc2) {
     sc2 += dep.network().sample_control_delay(dep.broker().node(), dep.sc(2).node());
   }
   EXPECT_GT(sc7 / sc2, 50.0);
+}
+
+TEST(Deployment, ProfiledTeardownWithFlowInFlight) {
+  // The registry outlives the deployment, as attach_metrics requires.
+  // Tearing the deployment down mid-transfer cancels the flow, and the
+  // re-level that follows opens a profiler span: the deployment's own
+  // WallProfiler must still be alive when its clients go.
+  obs::MetricRegistry registry;
+  sim::Simulator sim(11);
+  std::uint64_t relevels_before = 0;
+  {
+    Deployment dep(sim);
+    dep.attach_metrics(registry, /*wall_profiling=*/true);
+    dep.boot();
+    transport::FileTransferConfig cfg;
+    cfg.file_size = 50 * kMegabyte;
+    cfg.parts = 4;
+    dep.control().files().send_file(dep.sc_peer(2), cfg, [](const transport::TransferResult&) {});
+    while (dep.network().flows().active_flows() == 0) ASSERT_EQ(sim.step(1), 1u);
+    relevels_before = registry.find_histogram("profile.flows.relevel.wall_s")->count();
+  }
+  EXPECT_GT(registry.find_histogram("profile.flows.relevel.wall_s")->count(), relevels_before);
 }
 
 }  // namespace
