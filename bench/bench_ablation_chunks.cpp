@@ -34,6 +34,7 @@ double transfer_minutes(std::uint64_t seed, int sc, int parts) {
 
 int main(int argc, char** argv) {
   const auto options = peerlab::bench::parse_options(argc, argv);
+  peerlab::bench::refuse_observability(options, "bench_ablation_chunks");
   print_figure_header("Ablation", "Chunk-size sweep for a 100 MB transfer");
 
   const int sweeps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};

@@ -65,6 +65,7 @@ NoiseResult run_noisy(std::uint64_t seed, Seconds interarrival) {
 
 int main(int argc, char** argv) {
   const auto options = peerlab::bench::parse_options(argc, argv);
+  peerlab::bench::refuse_observability(options, "bench_ablation_crosstraffic");
   print_figure_header("Ablation", "Cross traffic on the substrate");
 
   Table table("8 x 20 MB / 16-part transfers under background load (mean of " +

@@ -64,6 +64,7 @@ StreamResult run_stream(std::uint64_t seed, std::size_t history_depth, int warmu
 
 int main(int argc, char** argv) {
   const auto options = peerlab::bench::parse_options(argc, argv);
+  peerlab::bench::refuse_observability(options, "bench_ablation_history");
   print_figure_header("Ablation", "Economic model: history depth x warm-up volume");
 
   Table table("16-job stream, economic model (mean of " +

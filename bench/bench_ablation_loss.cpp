@@ -61,6 +61,7 @@ LossResult run_under_loss(std::uint64_t seed, double datagram_loss) {
 
 int main(int argc, char** argv) {
   const auto options = peerlab::bench::parse_options(argc, argv);
+  peerlab::bench::refuse_observability(options, "bench_ablation_loss");
   print_figure_header("Ablation", "Protocol robustness under datagram loss");
 
   Table table("8 transfers + 8 tasks per run (mean of " +

@@ -97,6 +97,7 @@ StreamResult run_stream(std::uint64_t seed, const std::vector<core::CriterionWei
 
 int main(int argc, char** argv) {
   const auto options = peerlab::bench::parse_options(argc, argv);
+  peerlab::bench::refuse_observability(options, "bench_ablation_weights");
   print_figure_header("Ablation", "Data-evaluator weight sensitivity");
 
   Table table("16-job burst per weight vector (mean of " +

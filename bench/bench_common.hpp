@@ -4,12 +4,15 @@
 //   --reps N    repetitions (default 5, like the paper)
 //   --seed S    base seed (default 2007)
 //   --threads T worker threads (default: hardware)
+// and the ones built on experiments::World (figures, scenarios, the
+// full slice) also honour
 //   --profile   wall-clock span profiling (writes <name>.profile.txt)
 //   --trace P   causal tracing: per-repetition JSONL dumps under the
 //               path prefix P (see RunOptions::trace_path), with an
 //               invariant watchdog online and postmortems armed
-// and prints a paper-style table plus shape verdicts. Exit code 0 only
-// if every shape check passes.
+// while the others refuse both (refuse_observability). Each prints a
+// paper-style table plus shape verdicts. Exit code 0 only if every
+// shape check passes.
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,10 +43,24 @@ inline experiments::RunOptions parse_options(int argc, char** argv) {
       options.profile = true;
     } else if (arg == "--trace") {
       options.trace_path = next();
+      if (options.trace_path.empty()) {  // else tracing would be silently off
+        std::fprintf(stderr, "%s: --trace needs a path prefix\n", argv[0]);
+        std::exit(2);
+      }
     }
   }
   if (options.repetitions <= 0) options.repetitions = 5;
   return options;
+}
+
+/// For a binary that observes no world (the ablations, bench_scale):
+/// --profile and --trace would have nothing to attach to, so either
+/// one exits 2 before anything runs.
+inline void refuse_observability(const experiments::RunOptions& options, const char* name) {
+  if (!options.profile && options.trace_path.empty()) return;
+  std::fprintf(stderr, "%s: --profile and --trace are not supported (no observed world)\n",
+               name);
+  std::exit(2);
 }
 
 /// Names of the SimpleClient peers, SC1..SC8.

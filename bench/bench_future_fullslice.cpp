@@ -4,6 +4,7 @@
 // 25-node Table-1 slice (with two federated brokers) and runs a
 // 60-job application stream under each selection model.
 
+#include <array>
 #include <map>
 
 #include "bench_common.hpp"
@@ -22,14 +23,18 @@ struct StreamResult {
 
 constexpr Model kModels[4] = {Model::kBlind, Model::kEconomic, Model::kSamePriority,
                               Model::kHybrid};
+constexpr const char* kNames[4] = {"blind", "economic", "data-evaluator", "hybrid"};
 
-StreamResult run_stream(const RunOptions& options, std::uint64_t seed, int model) {
+/// One model's stream on its own world, seeded by repetition and model,
+/// observed under the model's name (trace dump and metric suffix).
+StreamResult run_stream(const RunOptions& options, Repetition& rep, int model) {
   planetlab::DeploymentOptions opts;
   opts.full_slice = true;
   opts.brokers = 2;
   opts.boot_time = 90.0;
-  World world(options, seed, opts);
+  World world(options, rep.seed + static_cast<std::uint64_t>(model), opts);
   sim::Simulator& sim = world.sim();
+  world.observe(rep, kNames[model]);
   world.dep().boot();
   world.bind(kModels[model]);
   overlay::Primitives api(world.dep().control());
@@ -55,6 +60,7 @@ StreamResult run_stream(const RunOptions& options, std::uint64_t seed, int model
     result.mean_turnaround = turnaround_sum / result.completed;
   }
   result.distinct_executors = static_cast<int>(executors.size());
+  world.finish(std::string(".") + kNames[model]);
   return result;
 }
 
@@ -63,9 +69,16 @@ StreamResult run_stream(const RunOptions& options, std::uint64_t seed, int model
 int main(int argc, char** argv) {
   auto options = peerlab::bench::parse_options(argc, argv);
   if (options.repetitions > 3) options.repetitions = 3;  // 25-node worlds are heavier
+  const peerlab::bench::BenchMetrics metrics(options, "bench_future_fullslice");
   print_figure_header("Future work", "Selection models on the full 25-node slice");
 
-  const char* names[4] = {"blind", "economic", "data-evaluator", "hybrid"};
+  using Rep = std::array<StreamResult, 4>;
+  const auto reps = run_repetitions<Rep>(options, [&options](Repetition& r) {
+    Rep rep;
+    for (int m = 0; m < 4; ++m) rep[static_cast<std::size_t>(m)] = run_stream(options, r, m);
+    return rep;
+  });
+
   Table table("60-job stream, 25 peers, 2 federated brokers (mean of " +
                   std::to_string(options.repetitions) + " runs)",
               {"model", "completed", "mean turnaround (s)", "makespan (min)",
@@ -73,14 +86,14 @@ int main(int argc, char** argv) {
   double best = 1e18, worst = 0.0, min_completed = 1e18;
   for (int m = 0; m < 4; ++m) {
     sim::Summary completed, turnaround, makespan, spread;
-    for (int rep = 0; rep < options.repetitions; ++rep) {
-      const auto r = run_stream(options, repetition_seed(options, rep) + m, m);
+    for (const Rep& rep : reps) {
+      const StreamResult& r = rep[static_cast<std::size_t>(m)];
       completed.add(r.completed);
       turnaround.add(r.mean_turnaround);
       makespan.add(to_minutes(r.makespan));
       spread.add(r.distinct_executors);
     }
-    table.add_row({names[m], cell(completed.mean(), 1), cell(turnaround.mean(), 1),
+    table.add_row({kNames[m], cell(completed.mean(), 1), cell(turnaround.mean(), 1),
                    cell(makespan.mean(), 1), cell(spread.mean(), 1)});
     best = std::min(best, turnaround.mean());
     worst = std::max(worst, turnaround.mean());

@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
   using namespace peerlab;
   using namespace peerlab::experiments;
   auto options = bench::parse_options(argc, argv);
+  bench::refuse_observability(options, "bench_scale");
   std::size_t max_clients = 1'000'000;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-clients") == 0 && i + 1 < argc) {

@@ -15,12 +15,15 @@ ctest --test-dir build -j "$(nproc)" --timeout 180 --output-on-failure
 
 cmake -B build-asan -S . -DPEERLAB_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$(nproc)" \
-  --target test_net test_overlay test_stats test_adversary test_econ test_property \
+  --target test_net test_overlay test_stats test_adversary test_econ test_property test_core \
   test_flow_differential test_selection_differential test_planetlab test_experiments \
   bench_churn bench_adversarial bench_economic
 build-asan/tests/test_net \
   --gtest_filter='FaultPlan.*:FaultInjector.*:Network.*:FlowScheduler.*'
-build-asan/tests/test_overlay --gtest_filter='Failover.*:Distribution.*'
+build-asan/tests/test_overlay --gtest_filter='Failover.*:Distribution.*:FileService.*'
+# Every model's score_into sanitized, the member scratch the economic
+# and hybrid models clear and refill per petition included.
+build-asan/tests/test_core
 # The broker's per-peer tables (history rows, reputation entries, the
 # client registry) are indexed by peer id: the suites that grow, copy,
 # export and adopt them run sanitized.

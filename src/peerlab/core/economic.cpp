@@ -78,14 +78,8 @@ void EconomicSchedulingModel::score_into(std::span<const PeerSnapshot> candidate
                                          const SelectionContext& context,
                                          std::vector<ScoredPeer>& scored) {
   scored.clear();
-  struct Offer {
-    const PeerSnapshot* peer = nullptr;
-    Seconds completion = 0.0;
-    double cost = 0.0;
-    bool feasible = true;
-  };
-  arena().reset();
-  auto offers = mem::make_scratch<Offer>(arena(), candidates.size());
+  offers_.clear();
+  offers_.reserve(candidates.size());
 
   const bool has_excludes = !context.exclude.empty();
   bool any_idle = false;
@@ -110,24 +104,24 @@ void EconomicSchedulingModel::score_into(std::span<const PeerSnapshot> candidate
     if (context.budget > 0.0 && offer.cost > context.budget) {
       offer.feasible = false;
     }
-    offers.push_back(offer);
+    offers_.push_back(offer);
   }
-  if (offers.empty()) return;
+  if (offers_.empty()) return;
 
   const bool any_feasible =
-      std::any_of(offers.begin(), offers.end(), [](const Offer& o) { return o.feasible; });
+      std::any_of(offers_.begin(), offers_.end(), [](const Offer& o) { return o.feasible; });
   if (any_feasible) {
-    offers.erase(std::remove_if(offers.begin(), offers.end(),
-                                [](const Offer& o) { return !o.feasible; }),
-                 offers.end());
+    offers_.erase(std::remove_if(offers_.begin(), offers_.end(),
+                                 [](const Offer& o) { return !o.feasible; }),
+                  offers_.end());
   }
 
   // Min-max normalize completion and cost over the surviving offers so
   // the utility weights are scale-free.
-  auto span_of = [&offers](auto extract) {
+  auto span_of = [this](auto extract) {
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (const auto& o : offers) {
+    for (const auto& o : offers_) {
       lo = std::min(lo, extract(o));
       hi = std::max(hi, extract(o));
     }
@@ -137,8 +131,8 @@ void EconomicSchedulingModel::score_into(std::span<const PeerSnapshot> candidate
   const auto [clo, chi] = span_of([](const Offer& o) { return o.cost; });
   const double wsum = config_.time_weight + config_.cost_weight;
 
-  scored.reserve(offers.size());
-  for (const auto& o : offers) {
+  scored.reserve(offers_.size());
+  for (const auto& o : offers_) {
     const double tnorm = thi > tlo ? (o.completion - tlo) / (thi - tlo) : 0.0;
     const double cnorm = chi > clo ? (o.cost - clo) / (chi - clo) : 0.0;
     double utility = (config_.time_weight * tnorm + config_.cost_weight * cnorm) / wsum;

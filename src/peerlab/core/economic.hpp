@@ -66,7 +66,16 @@ class EconomicSchedulingModel final : public SelectionModel {
   [[nodiscard]] double cost_for(const PeerSnapshot& peer, const SelectionContext& context,
                                 Seconds service) const;
 
+  /// One eligible candidate's estimates and its deadline/budget verdict.
+  struct Offer {
+    const PeerSnapshot* peer = nullptr;
+    Seconds completion = 0.0;
+    double cost = 0.0;
+    bool feasible = true;
+  };
+
   EconomicConfig config_;
+  std::vector<Offer> offers_;  // score_into() scratch, cleared and refilled per call
 };
 
 }  // namespace peerlab::core

@@ -24,14 +24,9 @@ HybridModel::HybridModel(HybridConfig config)
 void HybridModel::score_into(std::span<const PeerSnapshot> candidates,
                              const SelectionContext& context, std::vector<ScoredPeer>& scored) {
   scored.clear();
+  terms_.clear();
+  terms_.reserve(candidates.size());
   // Economic term: completion + cost estimate, min-max normalized.
-  struct Term {
-    const PeerSnapshot* peer = nullptr;
-    double economic = 0.0;
-    double evaluator = 0.0;
-  };
-  arena().reset();
-  auto terms = mem::make_scratch<Term>(arena(), candidates.size());
   const bool has_excludes = !context.exclude.empty();
   for (const auto& c : candidates) {
     if (!c.online || (has_excludes && context.excluded(c.peer))) continue;
@@ -40,18 +35,18 @@ void HybridModel::score_into(std::span<const PeerSnapshot> candidates,
     t.economic = economic_.estimate_ready_time(c) + economic_.estimate_service_time(c, context) +
                  economic_.estimate_cost(c, context);
     t.evaluator = evaluator_.cost(c, context);
-    terms.push_back(t);
+    terms_.push_back(t);
   }
-  if (terms.empty()) return;
+  if (terms_.empty()) return;
 
-  auto normalize = [&terms](auto get, auto set) {
+  auto normalize = [this](auto get, auto set) {
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (const auto& t : terms) {
+    for (const auto& t : terms_) {
       lo = std::min(lo, get(t));
       hi = std::max(hi, get(t));
     }
-    for (auto& t : terms) {
+    for (auto& t : terms_) {
       set(t, hi > lo ? (get(t) - lo) / (hi - lo) : 0.0);
     }
   };
@@ -60,8 +55,8 @@ void HybridModel::score_into(std::span<const PeerSnapshot> candidates,
   normalize([](const Term& t) { return t.evaluator; },
             [](Term& t, double v) { t.evaluator = v; });
 
-  scored.reserve(terms.size());
-  for (const auto& t : terms) {
+  scored.reserve(terms_.size());
+  for (const auto& t : terms_) {
     scored.push_back(ScoredPeer{t.peer->peer,
                                 alpha_ * t.economic + (1.0 - alpha_) * t.evaluator +
                                     context.reputation_penalty(*t.peer),

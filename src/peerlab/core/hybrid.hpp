@@ -47,9 +47,17 @@ class HybridModel final : public SelectionModel {
   [[nodiscard]] const DataEvaluatorModel& evaluator_term() const noexcept { return evaluator_; }
 
  private:
+  /// One eligible candidate's two terms, raw and then normalized.
+  struct Term {
+    const PeerSnapshot* peer = nullptr;
+    double economic = 0.0;
+    double evaluator = 0.0;
+  };
+
   double alpha_;
   EconomicSchedulingModel economic_;
   DataEvaluatorModel evaluator_;
+  std::vector<Term> terms_;  // score_into() scratch, cleared and refilled per call
 };
 
 }  // namespace peerlab::core

@@ -9,13 +9,13 @@
 //
 // The one model hook is score_into(): implementations emit every
 // eligible candidate, unsorted, as a ScoredPeer into a caller-provided
-// vector and build every other intermediate on the model's arena (see
-// peerlab::mem::Arena), so a warmed model answers petitions with zero
-// steady-state heap allocations — the petition path is the simulator's
-// hottest selection loop (DESIGN.md §13). Ranking is bounded: a caller
-// that wants k peers orders only the best k (order_best), never all n.
-// rank_into()/rank()/select()/select_k() are non-virtual conveniences
-// on top.
+// vector and keep every other intermediate in a member vector that each
+// call clears and refills, so a warmed model answers petitions with
+// zero steady-state heap allocations — the petition path is the
+// simulator's hottest selection loop (DESIGN.md §13). Ranking is
+// bounded: a caller that wants k peers orders only the best k
+// (order_best), never all n. rank_into()/rank()/select()/select_k()
+// are non-virtual conveniences on top.
 
 #include <algorithm>
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "peerlab/core/snapshot.hpp"
-#include "peerlab/mem/arena.hpp"
 
 namespace peerlab::core {
 
@@ -88,7 +87,7 @@ void append_best(std::span<ScoredPeer> scored, std::size_t k, std::vector<PeerId
 class SelectionModel {
  public:
   SelectionModel() = default;
-  // Movable (factory helpers return models by value); the arena moves
+  // Movable (factory helpers return models by value); scratch moves
   // with the model, copies make no sense for stateful policies.
   SelectionModel(SelectionModel&&) = default;
   SelectionModel& operator=(SelectionModel&&) = default;
@@ -100,9 +99,9 @@ class SelectionModel {
   /// Scores every eligible candidate into `scored` (cleared first), in
   /// no particular order; ranks_before over the entries is the model's
   /// ranking. Offline and excluded peers are never emitted; an empty
-  /// result means no eligible candidate. Implementations reset and
-  /// reuse arena() for every other intermediate, so a warmed call does
-  /// not touch the heap beyond `scored`'s own (reused) capacity.
+  /// result means no eligible candidate. Implementations keep every
+  /// other intermediate in member vectors they clear and refill, so a
+  /// warmed call does not touch the heap.
   virtual void score_into(std::span<const PeerSnapshot> candidates,
                           const SelectionContext& context, std::vector<ScoredPeer>& scored) = 0;
 
@@ -128,13 +127,7 @@ class SelectionModel {
   [[nodiscard]] std::vector<PeerId> select_k(std::span<const PeerSnapshot> candidates,
                                              const SelectionContext& context, std::size_t k);
 
- protected:
-  /// Per-model scratch arena for score_into() intermediates. Contents
-  /// live only for the duration of one call.
-  [[nodiscard]] mem::Arena& arena() noexcept { return arena_; }
-
  private:
-  mem::Arena arena_;
   std::vector<ScoredPeer> scored_;  // reused by rank_into()/select()/select_k()
 };
 

@@ -34,7 +34,7 @@ BrokerPeer::BrokerPeer(transport::TransportFabric& fabric, NodeId node,
   // The index only serves undefended rankings: reputation penalties and
   // quarantine excludes re-order candidates petition by petition, so a
   // defended broker keeps the plain scan (and pays zero index upkeep).
-  index_active_ = config_.selection_index && !config_.reputation.enabled;
+  index_active_ = !config_.reputation.enabled;
   if (index_active_) {
     index_.set_history(&history_);
     history_.set_observer([this](PeerId peer) { index_.mark_dirty(peer); });

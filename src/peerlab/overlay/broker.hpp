@@ -42,11 +42,6 @@ struct BrokerConfig {
   /// objective — selection is bit-identical to a build without the
   /// subsystem). See econ/economy.hpp and DESIGN.md §17.
   econ::EconConfig econ;
-  /// O(log n) top-k candidate indexes for the selection fast path
-  /// (DESIGN.md §15). Selections stay bit-identical to the scan; the
-  /// index deactivates itself while reputation defenses are enabled
-  /// (penalties re-order rankings petition by petition).
-  bool selection_index = true;
   /// Online index-vs-scan audit: every Nth traced index-served
   /// selection is re-ranked by the fallback scan and compared, with
   /// the verdict emitted as a kIndexAudit trace event the watchdog
@@ -111,7 +106,8 @@ class BrokerPeer {
   /// order (the selection paths fill a reused buffer the same way).
   [[nodiscard]] std::vector<core::PeerSnapshot> snapshot_group() const;
 
-  /// The selection fast-path index (counters are live even when the
+  /// The selection fast-path index (DESIGN.md §15), active unless
+  /// reputation defenses are enabled (counters are live even when the
   /// index is inactive; they just never move).
   [[nodiscard]] const core::CandidateIndex& candidate_index() const noexcept { return index_; }
   [[nodiscard]] bool index_active() const noexcept { return index_active_; }

@@ -102,14 +102,11 @@ struct FileService::DistributionState {
     Seconds petition_time = 0.0;
     Seconds transmission_time = 0.0;
   };
-  // Inline capacity 8: the paper's scatter fans out over SC1..SC8, so
-  // the bookkeeping of a typical distribution never leaves this state
-  // object's own allocation.
-  mem::small_vector<Share, 8> shares;
+  std::vector<Share> shares;
   /// Every peer ever assigned a share; replacement petitions exclude
   /// all of them so a share never lands on a peer that already failed
   /// (or currently holds) part of this file.
-  mem::small_vector<PeerId, 8> used;
+  std::vector<PeerId> used;
   int outstanding = 0;
   /// Root of the distribution's causal chain (inactive = untraced).
   obs::trace::TraceContext ctx;
@@ -146,13 +143,16 @@ void FileService::distribute(Bytes file_size, int parts, const std::vector<PeerI
   // Sorting by peer reproduces the id-ascending share order the
   // std::map this replaces used to iterate in.
   const std::size_t fanout = peers.size();
-  mem::small_vector<std::pair<PeerId, int>, 8> share_parts;
+  std::vector<std::pair<PeerId, int>> share_parts;
+  share_parts.reserve(fanout);
   for (std::size_t j = 0; j < fanout && j < static_cast<std::size_t>(parts); ++j) {
     const int count = parts / static_cast<int>(fanout) +
                       (j < static_cast<std::size_t>(parts) % fanout ? 1 : 0);
     share_parts.push_back({peers[j], count});
   }
   std::sort(share_parts.begin(), share_parts.end());
+  state->shares.reserve(share_parts.size());
+  state->used.reserve(share_parts.size());
   Bytes assigned = 0;
   for (const auto& [peer, n] : share_parts) {
     DistributionState::Share share;

@@ -17,8 +17,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
-#include "peerlab/mem/small_vector.hpp"
 #include "peerlab/overlay/directories.hpp"
 #include "peerlab/transport/file_transfer.hpp"
 

@@ -5,7 +5,7 @@
 //
 // These are verbatim extractions of the five models' rank_into()
 // bodies as of the introduction of the candidate index — the full
-// O(n) snapshot walk, unchanged arithmetic, arena scratch replaced by
+// O(n) snapshot walk, unchanged arithmetic, model scratch replaced by
 // plain vectors (the values and comparison order are identical). The
 // differential tests pin CandidateIndex::try_select() bit-identical to
 // these, so any drift in either implementation fails loudly.

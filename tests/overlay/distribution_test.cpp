@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "overlay_world.hpp"
 #include "peerlab/common/check.hpp"
 #include "peerlab/core/economic.hpp"
+#include "peerlab/net/fault_plan.hpp"
 #include "peerlab/overlay/primitives.hpp"
 
 namespace peerlab::overlay {
@@ -44,6 +47,68 @@ TEST(Distribution, SpreadsPartsRoundRobinAndConservesBytes) {
   EXPECT_EQ(result->shares[0].parts, 4);  // round-robin over 2 peers
   EXPECT_EQ(result->shares[1].parts, 4);
   EXPECT_GT(result->makespan(), 0.0);
+}
+
+TEST(Distribution, WideFanOutFailsOverOutsideTheUsedPeers) {
+  // 23 parts over ten peers (3..12), two of which (5 and 9) crash for
+  // good mid-transfer: twelve peers end up in the distribution's used
+  // list, and each failed share must land on one of 13..15, the only
+  // peers neither used nor the sender (2).
+  WorldOptions opts;
+  opts.clients = 14;  // peers 2..15 on nodes 2..15
+  OverlayWorld w(opts);
+  w.boot();
+  net::FaultPlan plan;
+  plan.crash_forever(w.sim.now() + 2.0, NodeId(5));
+  plan.crash_forever(w.sim.now() + 2.0, NodeId(9));
+  net::FaultInjector injector(*w.network, plan);
+
+  std::vector<PeerId> peers;
+  for (std::uint64_t id = 3; id <= 12; ++id) peers.push_back(PeerId(id));
+  constexpr int kParts = 23;
+  const Bytes file_size = megabytes(23.0) + 7;  // 7 bytes of rounding remainder
+  const Bytes part_size = file_size / kParts;
+  auto cfg = base_cfg();
+  cfg.petition_retry.max_attempts = 3;
+  cfg.confirm_timeout = 10.0;
+  cfg.max_part_attempts = 3;
+  DistributionOptions failover;
+  failover.max_failovers_per_share = 2;
+  failover.backoff_initial = 1.0;
+  failover.backoff_cap = 8.0;
+  std::optional<FileService::DistributionResult> result;
+  w.client(0).files().distribute(
+      file_size, kParts, peers, cfg,
+      [&](const FileService::DistributionResult& r) { result = r; }, failover);
+  w.sim.run();
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->complete);
+  EXPECT_EQ(result->failovers, 2);
+  ASSERT_EQ(result->shares.size(), peers.size());
+  Bytes total = 0;
+  std::set<PeerId> holders;
+  for (const auto& share : result->shares) {
+    EXPECT_TRUE(share.complete);
+    total += share.bytes;
+    holders.insert(share.peer);
+    // Round-robin in id order: 23 = 10 x 2 + 3, so the three lowest ids
+    // (3, 4, 5) carry one part more; the highest id takes the remainder.
+    const int expected_parts = share.original.value() <= 5 ? 3 : 2;
+    EXPECT_EQ(share.parts, expected_parts) << "share of peer " << share.original.value();
+    const Bytes remainder = share.original == PeerId(12) ? file_size - kParts * part_size : 0;
+    EXPECT_EQ(share.bytes, static_cast<Bytes>(expected_parts) * part_size + remainder);
+    if (share.original == PeerId(5) || share.original == PeerId(9)) {
+      EXPECT_EQ(share.failovers, 1);
+      EXPECT_GE(share.peer.value(), 13u) << "replacement landed on a used peer";
+      EXPECT_LE(share.peer.value(), 15u);
+    } else {
+      EXPECT_EQ(share.failovers, 0);
+      EXPECT_EQ(share.peer, share.original);
+    }
+  }
+  EXPECT_EQ(total, file_size);
+  EXPECT_EQ(holders.size(), peers.size());  // the two replacements differ too
 }
 
 TEST(Distribution, SinglePeerDegeneratesToPlainTransfer) {

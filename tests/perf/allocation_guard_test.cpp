@@ -258,7 +258,7 @@ TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
   }
 
   // All five models behind the common interface; each keeps its own
-  // arena and ranking buffer, so each must be warmed and soaked.
+  // scratch and ranking buffers, so each must be warmed and soaked.
   core::BlindModel blind;
   core::EconomicSchedulingModel economic;
   core::DataEvaluatorModel evaluator = core::DataEvaluatorModel::same_priority();
@@ -288,8 +288,8 @@ TEST(AllocationGuard, SelectionModelsPetitionPathIsAllocationFree) {
     picks += out.size();
   };
 
-  // Warm: arenas grow to the petition's high-water mark, `out` and the
-  // models' internal ranking buffers reach capacity.
+  // Warm: scratch vectors grow to the petition's high-water mark, `out`
+  // and the models' internal ranking buffers reach capacity.
   for (auto* model : models) {
     for (int i = 0; i < 8; ++i) petition(*model, i);
   }

@@ -18,7 +18,6 @@
 #include <type_traits>
 
 #include "peerlab/core/selection_model.hpp"
-#include "peerlab/mem/small_vector.hpp"
 #include "peerlab/sim/event_queue.hpp"
 #include "peerlab/stats/history.hpp"
 
@@ -45,12 +44,6 @@ static_assert(sizeof(stats::detail::HistoryRow) == 64);
 static_assert(alignof(stats::detail::HistoryRow) == 64);
 static_assert(std::is_trivially_copyable_v<stats::detail::HistoryRow>);
 
-// small_vector must not pad its inline buffer: N inline elements, the
-// pointer/size/capacity header, and nothing else.
-static_assert(sizeof(mem::small_vector<std::uint64_t, 8>) ==
-              8 * sizeof(std::uint64_t) + 3 * sizeof(void*));
-static_assert(alignof(mem::small_vector<double, 4>) >= alignof(double));
-
 TEST(Layout, EventSlotIsOneCacheLine) {
   EXPECT_EQ(64u, sizeof(sim::detail::EventSlot));
   EXPECT_EQ(64u, alignof(sim::detail::EventSlot));
@@ -67,11 +60,6 @@ TEST(Layout, HistoryMemoLineIsOneCacheLine) {
   EXPECT_EQ(64u, sizeof(stats::detail::HistoryRow));
   EXPECT_EQ(64u, alignof(stats::detail::HistoryRow));
   EXPECT_EQ(0u, offsetof(stats::detail::HistoryRow, value));
-}
-
-TEST(Layout, SmallVectorInlineBufferIsTight) {
-  using V = mem::small_vector<std::uint64_t, 8>;
-  EXPECT_EQ(8 * sizeof(std::uint64_t) + 3 * sizeof(void*), sizeof(V));
 }
 
 }  // namespace
